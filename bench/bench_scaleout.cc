@@ -16,6 +16,11 @@
 // count saturates the cores; on a single core the threaded run matches
 // threads=1 (the determinism contract is unaffected).
 //
+// With --disks-per-unit, one deploy unit of the real Cluster runs on the
+// sharded event engine at each listed size (DESIGN.md §13); with
+// --sharded-master that sweep is repeated with per-group meta leases
+// (DESIGN.md §15).
+//
 // Output: a human table on stdout and, with --json, a google-benchmark
 // compatible JSON document (one "iteration" entry per unit count whose
 // real_time is ns/event).
@@ -31,7 +36,6 @@
 #include "bench_util.h"
 #include "core/cluster_sharded.h"
 #include "core/fleet.h"
-#include "core/sharded_unit.h"
 
 namespace {
 
@@ -45,21 +49,17 @@ struct Args {
   std::string json_path;
   bool check_determinism = false;
   std::uint64_t seed = 42;
-  // Intra-unit sharded sweep (DESIGN.md §12): when non-empty, one deploy
-  // unit of this many disks runs on the sharded engine at each
-  // `unit_threads` count (the first entry is the speedup baseline, so keep
-  // it at 1). --check-determinism additionally runs the single-queue
-  // oracle per configuration and compares reports byte for byte.
+  // Real-cluster sweep (DESIGN.md §13): when non-empty, the REAL
+  // core::Cluster (Master, meta quorum, EndPoints, live fabric) runs on the
+  // sharded engine at each of these sizes, scaling one prototype deploy
+  // unit via leaf_hubs_per_group, at each `unit_threads` count (the first
+  // entry is the speedup baseline, so keep it at 1). --check-determinism
+  // additionally runs the single-queue oracle per size and compares
+  // reports byte for byte.
   std::vector<int> disks_per_unit;
   std::vector<int> unit_threads = {1, 2, 4, 8};
   int unit_shards = 8;
-  int unit_groups = 64;
-  bool skip_fleet = false;  // --no-fleet: sharded sweep only
-  // --real-cluster: also run the REAL core::Cluster (Master, meta quorum,
-  // EndPoints, live fabric) on the sharded engine at each disks_per_unit
-  // size (DESIGN.md §13), scaling one prototype deploy unit via
-  // leaf_hubs_per_group.
-  bool real_cluster = false;
+  bool skip_fleet = false;  // --no-fleet: real-cluster sweeps only
   // --sharded-master: after the central-Master real-cluster sweep, repeat
   // it with per-group meta leases (DESIGN.md §15) and report the control
   // pump's wall-clock occupancy next to the MasterShards' local decision
@@ -125,14 +125,8 @@ bool ParseArgs(int argc, char** argv, Args& args) {
       const char* value = next_value(i);
       if (value == nullptr) return false;
       args.unit_shards = std::atoi(value);
-    } else if (std::strcmp(arg, "--unit-groups") == 0) {
-      const char* value = next_value(i);
-      if (value == nullptr) return false;
-      args.unit_groups = std::atoi(value);
     } else if (std::strcmp(arg, "--no-fleet") == 0) {
       args.skip_fleet = true;
-    } else if (std::strcmp(arg, "--real-cluster") == 0) {
-      args.real_cluster = true;
     } else if (std::strcmp(arg, "--sharded-master") == 0) {
       args.sharded_master = true;
     } else if (std::strcmp(arg, "--chaos") == 0) {
@@ -264,62 +258,6 @@ RunResult RunFleet(const Args& args, int units, int threads) {
   return result;
 }
 
-// --- Intra-unit sharded sweep (DESIGN.md §12) -------------------------------
-
-struct ShardedResult {
-  core::ShardedUnitReport report;
-  double wall_seconds = 0;
-  double events_per_second = 0;
-  double sim_per_wall = 0;
-  double ns_per_event = 0;
-};
-
-core::ShardedUnitOptions ShardedOptionsFor(const Args& args, int disks,
-                                           int threads, bool use_sharded) {
-  core::ShardedUnitOptions options;
-  options.groups = args.unit_groups;
-  options.disks_per_group = std::max(1, disks / args.unit_groups);
-  options.shards = use_sharded ? args.unit_shards : 1;
-  options.threads = threads;
-  options.seed = args.seed;
-  options.duration = static_cast<sim::Duration>(args.sim_seconds * 1e9);
-  // Denser bursts than the model's default: the sweep wants enough events
-  // per wall-second for stable timing, and a fault rate that keeps the
-  // spin/fail paths on the profile.
-  options.burst_period = sim::Millis(5);
-  options.burst_ops = 32;
-  options.fault_probability = 0.01;
-  return options;
-}
-
-ShardedResult RunSharded(const Args& args, int disks, int threads,
-                         bool use_sharded) {
-  const core::ShardedUnitOptions options =
-      ShardedOptionsFor(args, disks, threads, use_sharded);
-  ShardedResult result;
-  const auto start = std::chrono::steady_clock::now();
-  result.report = core::RunShardedUnit(options, use_sharded);
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  const double events = static_cast<double>(result.report.events_processed);
-  const double wall = result.wall_seconds;
-  result.events_per_second = wall > 0 ? events / wall : 0;
-  result.sim_per_wall = wall > 0 ? args.sim_seconds / wall : 0;
-  result.ns_per_event = events > 0 ? wall * 1e9 / events : 0;
-  return result;
-}
-
-ShardedResult BestOf(const Args& args, int disks, int threads,
-                     bool use_sharded) {
-  ShardedResult best = RunSharded(args, disks, threads, use_sharded);
-  for (int repeat = 1; repeat < args.repeats; ++repeat) {
-    ShardedResult again = RunSharded(args, disks, threads, use_sharded);
-    if (again.wall_seconds < best.wall_seconds) best = std::move(again);
-  }
-  return best;
-}
-
 // --- The real Cluster on the sharded engine (DESIGN.md §13) -----------------
 
 struct RealClusterResult {
@@ -432,7 +370,6 @@ int main(int argc, char** argv) {
         "                      [--json PATH] [--check-determinism]\n"
         "                      [--disks-per-unit 1000,...] [--no-fleet]\n"
         "                      [--unit-threads 1,2,4,8] [--unit-shards N]\n"
-        "                      [--unit-groups N] [--real-cluster]\n"
         "                      [--sharded-master] [--chaos]\n"
         "                      [--sharded-fleet] [--expect-flat-control X]\n"
         "                      [--expect-speedup X]\n");
@@ -522,69 +459,6 @@ int main(int argc, char** argv) {
 
   if (!args.disks_per_unit.empty()) {
     bench::PrintHeader(
-        "Intra-unit sharding: one deploy unit on the sharded event engine\n"
-        "(" +
-        bench::Fmt(args.sim_seconds, 0) + " simulated seconds, " +
-        std::to_string(args.unit_groups) + " groups, shards=" +
-        std::to_string(args.unit_shards) +
-        ", speedup vs the first --unit-threads entry)");
-    std::vector<std::string> header = {"disks",   "threads", "events",
-                                       "Mev/s",   "sim-s/s", "ns/event",
-                                       "speedup"};
-    if (args.check_determinism) header.push_back("identical");
-    bench::PrintRow(header, 12);
-
-    for (const int disks : args.disks_per_unit) {
-      std::string oracle_json;
-      if (args.check_determinism) {
-        oracle_json =
-            RunSharded(args, disks, 1, /*use_sharded=*/false).report.ToJson();
-      }
-      double baseline_wall = 0;
-      for (std::size_t t = 0; t < args.unit_threads.size(); ++t) {
-        const int unit_threads = args.unit_threads[t];
-        const ShardedResult best =
-            BestOf(args, disks, unit_threads, /*use_sharded=*/true);
-        if (t == 0) baseline_wall = best.wall_seconds;
-        const double speedup =
-            best.wall_seconds > 0 ? baseline_wall / best.wall_seconds : 0;
-        if (unit_threads > 1) max_speedup = std::max(max_speedup, speedup);
-
-        std::vector<std::string> row = {
-            std::to_string(disks),
-            std::to_string(unit_threads),
-            std::to_string(best.report.events_processed),
-            bench::Fmt(best.events_per_second / 1e6, 2),
-            bench::Fmt(best.sim_per_wall, 1),
-            bench::Fmt(best.ns_per_event, 1),
-            bench::Fmt(speedup, 2) + "x"};
-        bool identical = true;
-        if (args.check_determinism) {
-          identical = best.report.ToJson() == oracle_json;
-          determinism_ok = determinism_ok && identical;
-          row.push_back(identical ? "yes" : "NO");
-        }
-        bench::PrintRow(row, 12);
-
-        entries.push_back(
-            "    {\"name\": \"scaleout/sharded/disks:" +
-            std::to_string(disks) +
-            "/threads:" + std::to_string(unit_threads) +
-            "\", \"run_type\": \"iteration\", \"iterations\": " +
-            std::to_string(args.repeats) +
-            ", \"real_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"cpu_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"time_unit\": \"ns\", \"events\": " +
-            std::to_string(best.report.events_processed) +
-            ", \"events_per_second\": " +
-            bench::Fmt(best.events_per_second, 1) +
-            ", \"speedup_vs_baseline\": " + bench::Fmt(speedup, 3) + "}");
-      }
-    }
-  }
-
-  if (args.real_cluster && !args.disks_per_unit.empty()) {
-    bench::PrintHeader(
         "Real Cluster on the sharded engine: live Master/EndPoints/fabric,\n"
         "vectorized SoA disk sweeps (" +
         bench::Fmt(args.sim_seconds, 0) + " simulated seconds, shards=" +
@@ -664,8 +538,7 @@ int main(int argc, char** argv) {
   // as the population grows. That ratio is the payoff this sweep exists
   // to measure (and --expect-flat-control gates). Wall occupancy
   // ("pump-ms"/"drain-ms") is reported for context, not gated.
-  if (args.sharded_master && args.real_cluster &&
-      !args.disks_per_unit.empty()) {
+  if (args.sharded_master && !args.disks_per_unit.empty()) {
     bench::PrintHeader(
         "Sharded Master: per-group meta leases on the real Cluster\n"
         "(" +

@@ -253,7 +253,7 @@ ShardedCluster::~ShardedCluster() {
 }
 
 // ---------------------------------------------------------------------------
-// Scheduling helpers (the sharded_unit parity rules): shard-local events on
+// Scheduling helpers (the DESIGN.md §12 parity rules): shard-local events on
 // even nanoseconds, deliveries land odd by engine contract.
 
 void ShardedCluster::ScheduleLocal(int shard, sim::Time not_before,

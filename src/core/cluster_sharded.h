@@ -1,11 +1,9 @@
 // The real Cluster on the sharded event engine (DESIGN.md §13).
 //
-// PR 7's core/sharded_unit proved the conservative-lookahead engine
-// bit-exact on a reduced deploy-unit model. This file runs the REAL
-// core::Cluster — Master, meta quorum, Controllers, EndPoints, the live
-// fabric and its hw::Disk objects — under sim::UnitEngine, with the data
-// plane fanned out across shards and the ordering-sensitive control plane
-// kept sequential:
+// This file runs the REAL core::Cluster — Master, meta quorum,
+// Controllers, EndPoints, the live fabric and its hw::Disk objects — under
+// sim::UnitEngine, with the data plane fanned out across shards and the
+// ordering-sensitive control plane kept sequential:
 //
 //   * Cluster::BuildShardPlan partitions the live fabric by root subtree
 //     into logical groups; each group owns an Rng, a MetricsRegistry, a

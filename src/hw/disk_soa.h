@@ -17,9 +17,10 @@
 // idle spin-down lifecycle matches too, including the §IV-F adaptive
 // timeout: a spin-up arriving within 4x the configured timeout of the
 // previous one doubles the disk's idle timeout, capped at 64x (the same
-// arithmetic as Disk::SpinUp). The equivalence test (sharded_unit_test)
-// drives a real hw::Disk and this array with identical submissions and
-// asserts identical completion schedules and spin transitions.
+// arithmetic as Disk::SpinUp). The equivalence tests (hw_test,
+// tests/hw_disk_soa_test.cc) drive a real hw::Disk and this array with
+// identical submissions and assert identical completion schedules and spin
+// transitions.
 //
 // Divergences from hw::Disk, by design: no per-request ring or callbacks
 // (completions are a closed-form schedule the caller turns into one

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <map>
 #include <utility>
+#include <vector>
 
 namespace ustore::services {
 
@@ -14,106 +15,6 @@ namespace {
 constexpr std::uint64_t kCorruptionMask = 0x8000000000000001ULL;
 
 }  // namespace
-
-// --- RebuildAgent ----------------------------------------------------------------
-
-RebuildAgent::RebuildAgent(sim::Simulator* sim,
-                           core::ClientLib::Volume* source,
-                           core::ClientLib::Volume* target, Bytes block_size)
-    : sim_(sim), source_(source), target_(target), block_size_(block_size) {
-  assert(source_ != nullptr && target_ != nullptr && block_size_ > 0);
-}
-
-void RebuildAgent::Rebuild(int blocks,
-                           std::function<void(RebuildReport)> done) {
-  RebuildFrom(0, blocks, std::move(done));
-}
-
-void RebuildAgent::RebuildFrom(int first_block, int blocks,
-                               std::function<void(RebuildReport)> done) {
-  auto report = std::make_shared<RebuildReport>();
-  CopyNext(first_block, blocks, report, std::move(done), sim_->now());
-}
-
-void RebuildAgent::Finish(int next_index, RebuildReport* report,
-                          sim::Time started) {
-  report->resume_from = next_index;
-  report->elapsed = sim_->now() - started;
-  if (report->elapsed > 0 && report->blocks_copied > 0) {
-    report->throughput_valid = true;
-    report->throughput_mbps = static_cast<double>(report->blocks_copied) *
-                              static_cast<double>(block_size_) /
-                              sim::ToSeconds(report->elapsed) / 1e6;
-  }
-}
-
-void RebuildAgent::CopyNext(int index, int blocks,
-                            std::shared_ptr<RebuildReport> report,
-                            std::function<void(RebuildReport)> done,
-                            sim::Time started) {
-  if (index >= blocks) {
-    report->status = Status::Ok();
-    Finish(index, report.get(), started);
-    done(*report);
-    return;
-  }
-  const Bytes offset = static_cast<Bytes>(index) * block_size_;
-  source_->Read(
-      offset, block_size_, /*random=*/false,
-      [this, index, blocks, offset, report, done = std::move(done),
-       started](Result<std::uint64_t> tag) mutable {
-        if (!tag.ok()) {
-          report->status = tag.status();
-          Finish(index, report.get(), started);
-          done(*report);
-          return;
-        }
-        const std::uint64_t expected = *tag;
-        const std::uint64_t written =
-            corrupt_blocks_.count(index) != 0 ? expected ^ kCorruptionMask
-                                              : expected;
-        target_->Write(
-            offset, block_size_, /*random=*/false, written,
-            [this, index, blocks, offset, report, done = std::move(done),
-             started, expected](Status status) mutable {
-              if (!status.ok()) {
-                report->status = status;
-                Finish(index, report.get(), started);
-                done(*report);
-                return;
-              }
-              // The verify leg: read the block back off the target and
-              // compare with what the source held. A mismatch is detected
-              // corruption — distinct status, counted, and the block is
-              // NOT progress (resume_from points at it).
-              target_->Read(
-                  offset, block_size_, /*random=*/false,
-                  [this, index, blocks, report, done = std::move(done),
-                   started, expected](Result<std::uint64_t> readback) mutable {
-                    if (!readback.ok()) {
-                      report->status = readback.status();
-                      Finish(index, report.get(), started);
-                      done(*report);
-                      return;
-                    }
-                    if (*readback != expected) {
-                      ++report->tag_mismatches;
-                      report->status = DataLossError(
-                          "rebuild verify: block " + std::to_string(index) +
-                          " read back a different tag than the source");
-                      Finish(index, report.get(), started);
-                      done(*report);
-                      return;
-                    }
-                    ++report->blocks_copied;
-                    CopyNext(index + 1, blocks, report, std::move(done),
-                             started);
-                  });
-            });
-      });
-}
-
-// --- RebuildEngine ---------------------------------------------------------------
 
 struct RebuildEngine::StripeJob {
   int op_index = 0;
@@ -206,8 +107,7 @@ bool RebuildEngine::AdmitDisks(Run& run,
   }
   const int active = static_cast<int>(run.active_disks.size());
   // Always admit when nothing is in flight: a budget smaller than one
-  // stripe's footprint must still make progress (matches the serial
-  // agent's two-disk floor).
+  // stripe's footprint must still make progress.
   if (run.in_flight > 0 && active + fresh > run.max_active) return false;
   return true;
 }
@@ -282,27 +182,34 @@ void RebuildEngine::StartStripe(std::shared_ptr<Run> run, int op_index) {
   // Fan the reads out, batched per volume (usually one op per volume —
   // chunks of a stripe live on distinct disks — but a resolver that maps
   // several chunks onto one volume gets a single command PDU for them).
-  std::map<core::ClientLib::Volume*, std::vector<int>> by_volume;
+  // Volumes are grouped in first-seen slot order, so the submission order
+  // is a function of the plan, never of where the volumes sit in memory.
+  struct VolumeReads {
+    core::ClientLib::Volume* volume;
+    std::vector<int> slots;
+    std::vector<core::ClientLib::Volume::IoOp> ops;
+  };
+  std::vector<VolumeReads> by_volume;
   for (int slot = 0; slot < static_cast<int>(job->read_chunks.size());
        ++slot) {
     const ChunkAddress addr =
         resolver_(op.stripe, job->read_chunks[slot], job->read_locs[slot]);
     assert(addr.volume != nullptr);
-    by_volume[addr.volume].push_back(slot);
-  }
-  for (auto& [volume, slots] : by_volume) {
-    std::vector<core::ClientLib::Volume::IoOp> ops;
-    ops.reserve(slots.size());
-    for (int slot : slots) {
-      const ChunkAddress addr =
-          resolver_(op.stripe, job->read_chunks[slot], job->read_locs[slot]);
-      ops.push_back({addr.offset, options_.chunk_size, /*is_read=*/true,
-                     /*random=*/false, /*tag=*/0});
+    auto it = std::find_if(
+        by_volume.begin(), by_volume.end(),
+        [&](const VolumeReads& v) { return v.volume == addr.volume; });
+    if (it == by_volume.end()) {
+      it = by_volume.insert(by_volume.end(), VolumeReads{addr.volume, {}, {}});
     }
+    it->slots.push_back(slot);
+    it->ops.push_back({addr.offset, options_.chunk_size, /*is_read=*/true,
+                       /*random=*/false, /*tag=*/0});
+  }
+  for (auto& [volume, slots, ops] : by_volume) {
     run->report.chunk_reads += static_cast<int>(slots.size());
     volume->SubmitBatch(
         ops,
-        [this, run, job, slots = slots](
+        [this, run, job, slots = std::move(slots)](
             Status status,
             std::span<const core::ClientLib::Volume::IoOpResult> results) {
           for (std::size_t i = 0; i < slots.size(); ++i) {

@@ -24,7 +24,7 @@
 //   * Rebuild time model + MTTDL — closed-form time for executing a plan
 //     under per-disk bandwidth and a spin-group power budget (a cold unit
 //     may only spin a fraction of its disks at once), for the declustered
-//     engine and for the serial one-block-in-flight agent; and Thomasian
+//     engine and for a serial queue-depth-1 copier; and Thomasian
 //     MTTDL estimates (PAPERS.md) for RS(k+m) declustered vs dedicated
 //     groups vs the old single-failure re-attach baseline, with MTTR fed
 //     from the rebuild model. bench_rebuild sweeps these 1k -> 10k disks;
@@ -152,10 +152,11 @@ sim::Duration DeclusteredRebuildTime(const RebuildPlan& plan,
                                      const RebuildTimeModel& model,
                                      int total_disks);
 
-// The serial one-block-in-flight agent copying a replica: `chunks` blocks,
-// each a read leg then a write leg (plus one spin-up per disk pair), queue
-// depth 1 — the pre-redundancy baseline. Grows linearly with the data the
-// failure exposed.
+// A serial queue-depth-1 copier modelled in closed form (no executor runs
+// it): `chunks` blocks copied from a replica, each a read leg then a write
+// leg, plus one spin-up for the source/target pair — the pre-redundancy
+// baseline bench_rebuild compares RebuildEngine's plans against. Grows
+// linearly with the data the failure exposed.
 sim::Duration SerialAgentRebuildTime(int chunks, const RebuildTimeModel& model);
 
 // --- MTTDL (Thomasian, PAPERS.md) -----------------------------------------------

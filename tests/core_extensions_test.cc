@@ -1,6 +1,5 @@
 // Tests for the paper's optional/extension features: rolling spin-up
-// (§III-B) and fabric-assisted rebuild (§IV-E future work), plus ClientLib
-// edge cases around remounting.
+// (§III-B), plus ClientLib edge cases around mounting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -8,7 +7,6 @@
 #include "common/rng.h"
 #include "core/cluster.h"
 #include "core/power_sequencer.h"
-#include "services/rebuild.h"
 
 namespace ustore::core {
 namespace {
@@ -101,89 +99,28 @@ TEST_F(PowerSequencerTest, RollingIsSlowerThanAllAtOnce) {
   EXPECT_GT(rolling_done, at_once_done);
 }
 
-// --- RebuildAgent ------------------------------------------------------------------
+// --- ClientLib edges ------------------------------------------------------------------
 
-class RebuildTest : public ::testing::Test {
+class ClientLibEdgeTest : public ::testing::Test {
  protected:
-  RebuildTest() {
+  ClientLibEdgeTest() {
     cluster_.Start();
-    client_ = cluster_.MakeClient("rebuild-client");
-    source_ = Allocate("svc-src", 1);
-    target_ = Allocate("svc-dst", 2);
-  }
-
-  ClientLib::Volume* Allocate(const std::string& service, int locality) {
-    auto client = cluster_.MakeClient(service + "-owner", locality);
-    ClientLib::Volume* volume = nullptr;
-    client->AllocateAndMount(service, GiB(4),
+    client_ = cluster_.MakeClient("edge-client");
+    owner_ = cluster_.MakeClient("svc-owner", /*locality=*/1);
+    owner_->AllocateAndMount("svc", GiB(4),
                              [&](Result<ClientLib::Volume*> r) {
-                               if (r.ok()) volume = *r;
+                               if (r.ok()) volume_ = *r;
                              });
     cluster_.RunFor(sim::Seconds(10));
-    owners_.push_back(std::move(client));
-    return volume;
   }
 
   core::Cluster cluster_;
   std::unique_ptr<ClientLib> client_;
-  std::vector<std::unique_ptr<ClientLib>> owners_;
-  ClientLib::Volume* source_ = nullptr;
-  ClientLib::Volume* target_ = nullptr;
+  std::unique_ptr<ClientLib> owner_;
+  ClientLib::Volume* volume_ = nullptr;
 };
 
-TEST_F(RebuildTest, CopiesAllBlocksWithTagsIntact) {
-  ASSERT_NE(source_, nullptr);
-  ASSERT_NE(target_, nullptr);
-  for (int i = 0; i < 8; ++i) {
-    source_->Write(static_cast<Bytes>(i) * MiB(4), MiB(4), false, 600 + i,
-                   [](Status) {});
-  }
-  cluster_.RunFor(sim::Seconds(10));
-
-  services::RebuildAgent agent(&cluster_.sim(), source_, target_);
-  services::RebuildReport report;
-  report.status = InternalError("pending");
-  agent.Rebuild(8, [&](services::RebuildReport r) { report = r; });
-  cluster_.RunFor(sim::Seconds(120));
-  ASSERT_TRUE(report.status.ok()) << report.status;
-  EXPECT_EQ(report.blocks_copied, 8);
-  EXPECT_GT(report.throughput_mbps, 10.0);
-
-  // Spot-check the copied fingerprints.
-  for (int i = 0; i < 8; ++i) {
-    Result<std::uint64_t> tag = InternalError("pending");
-    target_->Read(static_cast<Bytes>(i) * MiB(4), MiB(4), false,
-                  [&](Result<std::uint64_t> r) { tag = r; });
-    cluster_.RunFor(sim::Seconds(3));
-    ASSERT_TRUE(tag.ok());
-    EXPECT_EQ(*tag, 600u + i);
-  }
-}
-
-TEST_F(RebuildTest, ReportsSourceFailureMidCopy) {
-  ASSERT_NE(source_, nullptr);
-  for (int i = 0; i < 8; ++i) {
-    source_->Write(static_cast<Bytes>(i) * MiB(4), MiB(4), false, 1,
-                   [](Status) {});
-  }
-  cluster_.RunFor(sim::Seconds(10));
-
-  services::RebuildAgent agent(&cluster_.sim(), source_, target_);
-  services::RebuildReport report;
-  report.status = InternalError("pending");
-  agent.Rebuild(8, [&](services::RebuildReport r) { report = r; });
-  // Fail the source disk hardware mid-copy.
-  cluster_.RunFor(sim::MillisD(150));
-  ASSERT_TRUE(
-      cluster_.fabric().FailUnit(source_->id().disk).ok());
-  cluster_.RunFor(sim::Seconds(120));
-  EXPECT_FALSE(report.status.ok());
-  EXPECT_LT(report.blocks_copied, 8);
-}
-
-// --- ClientLib edges ------------------------------------------------------------------
-
-TEST_F(RebuildTest, MountUnknownSpaceFails) {
+TEST_F(ClientLibEdgeTest, MountUnknownSpaceFails) {
   AllocatedSpace ghost;
   ghost.id = SpaceId{0, "disk-0", 999};
   ghost.host = "host-0";
@@ -195,11 +132,11 @@ TEST_F(RebuildTest, MountUnknownSpaceFails) {
   EXPECT_EQ(client_->volume(ghost.id), nullptr);
 }
 
-TEST_F(RebuildTest, UnmountForgetsVolume) {
-  ASSERT_NE(source_, nullptr);
-  // source_ was mounted by its owner, not client_; mount here too.
+TEST_F(ClientLibEdgeTest, UnmountForgetsVolume) {
+  ASSERT_NE(volume_, nullptr);
+  // volume_ was mounted by its owner, not client_; mount here too.
   Result<ClientLib::Volume*> mine = InternalError("pending");
-  client_->Mount(source_->space(),
+  client_->Mount(volume_->space(),
                  [&](Result<ClientLib::Volume*> r) { mine = r; });
   cluster_.RunFor(sim::Seconds(5));
   ASSERT_TRUE(mine.ok());

@@ -3,18 +3,22 @@
 // resumes, reads are never interrupted.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/cluster.h"
-#include "fabric/failure_domains.h"
+#include "obs/trace.h"
 #include "services/archiver.h"
 #include "services/mini_dfs.h"
 #include "services/rebuild.h"
 #include "services/redundancy.h"
+#include "sim/simulator.h"
 
 namespace ustore::services {
 namespace {
@@ -270,189 +274,6 @@ TEST_F(ArchiverFixture, VolumeFullReportsExhaustion) {
   EXPECT_EQ(tiny.objects_archived(), 2u);
 }
 
-// --- RebuildAgent ---------------------------------------------------------------
-
-class RebuildFixture : public ::testing::Test {
- protected:
-  static constexpr Bytes kBlock = MiB(8);
-  static constexpr std::uint64_t kBaseTag = 500;
-
-  RebuildFixture() {
-    cluster_.Start();
-    client_ = cluster_.MakeClient("rebuild-client");
-    // Source and target pinned to disks in *different* failure units, so a
-    // unit fault on the source leaves the target (and its partial copy)
-    // alive.
-    const fabric::FailureDomainMap domains =
-        fabric::EnumerateFailureDomains(cluster_.fabric().fabric());
-    EXPECT_GE(domains.size(), 2);
-    source_disk_ = domains.domains[0].disk_names[0];
-    target_disk_ = domains.domains[1].disk_names[0];
-    source_ = MountOnDisk("rebuild-src", source_disk_);
-    target_ = MountOnDisk("rebuild-dst", target_disk_);
-  }
-
-  core::ClientLib::Volume* MountOnDisk(const std::string& service,
-                                       const std::string& disk) {
-    Result<core::ClientLib::Volume*> volume = InternalError("pending");
-    client_->AllocateAndMountOnDisk(
-        service, GiB(1), disk,
-        [&](Result<core::ClientLib::Volume*> r) { volume = r; });
-    cluster_.RunFor(sim::Seconds(10));
-    EXPECT_TRUE(volume.ok()) << volume.status();
-    return volume.ok() ? *volume : nullptr;
-  }
-
-  void WriteSourceBlocks(int blocks) {
-    int acked = 0;
-    for (int i = 0; i < blocks; ++i) {
-      source_->Write(static_cast<Bytes>(i) * kBlock, kBlock,
-                     /*random=*/false, kBaseTag + i, [&](Status s) {
-                       EXPECT_TRUE(s.ok()) << s;
-                       ++acked;
-                     });
-    }
-    cluster_.RunFor(sim::Seconds(120));
-    ASSERT_EQ(acked, blocks);
-  }
-
-  core::Cluster cluster_;
-  std::unique_ptr<core::ClientLib> client_;
-  std::string source_disk_;
-  std::string target_disk_;
-  core::ClientLib::Volume* source_ = nullptr;
-  core::ClientLib::Volume* target_ = nullptr;
-};
-
-TEST_F(RebuildFixture, CopiesVerifiesAndReportsThroughput) {
-  WriteSourceBlocks(6);
-  RebuildAgent agent(&cluster_.sim(), source_, target_, kBlock);
-  RebuildReport report;
-  report.status = InternalError("pending");
-  bool done = false;
-  agent.Rebuild(6, [&](RebuildReport r) {
-    report = r;
-    done = true;
-  });
-  cluster_.RunFor(sim::Seconds(120));
-  ASSERT_TRUE(done);
-  ASSERT_TRUE(report.status.ok()) << report.status;
-  EXPECT_EQ(report.blocks_copied, 6);
-  EXPECT_EQ(report.tag_mismatches, 0);
-  EXPECT_EQ(report.resume_from, 6);
-  EXPECT_GT(report.elapsed, 0);
-  EXPECT_TRUE(report.throughput_valid);
-  EXPECT_GT(report.throughput_mbps, 0.0);
-
-  // Every block round-trips off the target with the source's tag.
-  for (int i = 0; i < 6; ++i) {
-    Result<std::uint64_t> tag = InternalError("pending");
-    target_->Read(static_cast<Bytes>(i) * kBlock, kBlock, /*random=*/false,
-                  [&](Result<std::uint64_t> r) { tag = r; });
-    cluster_.RunFor(sim::Seconds(10));
-    ASSERT_TRUE(tag.ok()) << tag.status();
-    EXPECT_EQ(*tag, kBaseTag + i);
-  }
-}
-
-TEST_F(RebuildFixture, ReadBackMismatchIsDataLossNotProgress) {
-  // The fixed rebuild.cc bug: the source tag used to be captured and then
-  // never compared. A corrupted write must now surface as a *distinct*
-  // kDataLoss status, be counted, and the bad block must not be progress.
-  WriteSourceBlocks(6);
-  RebuildAgent agent(&cluster_.sim(), source_, target_, kBlock);
-  agent.CorruptWriteForTest(3);
-  RebuildReport report;
-  report.status = InternalError("pending");
-  bool done = false;
-  agent.Rebuild(6, [&](RebuildReport r) {
-    report = r;
-    done = true;
-  });
-  cluster_.RunFor(sim::Seconds(120));
-  ASSERT_TRUE(done);
-  EXPECT_EQ(report.status.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(report.tag_mismatches, 1);
-  EXPECT_EQ(report.blocks_copied, 3);  // blocks 0..2 verified; 3 is not
-  EXPECT_EQ(report.resume_from, 3);
-  EXPECT_GT(report.elapsed, 0);
-}
-
-TEST_F(RebuildFixture, ZeroBlockRebuildIsExplicitNotStalled) {
-  // A rebuild with nothing to copy used to be indistinguishable from a
-  // stalled one (both reported 0 MB/s). Now progress and rate are separate:
-  // blocks_copied says what happened, throughput_valid says whether the
-  // rate means anything.
-  RebuildAgent agent(&cluster_.sim(), source_, target_, kBlock);
-  RebuildReport report;
-  report.status = InternalError("pending");
-  bool done = false;
-  agent.Rebuild(0, [&](RebuildReport r) {
-    report = r;
-    done = true;
-  });
-  cluster_.RunFor(sim::Seconds(1));
-  ASSERT_TRUE(done);
-  EXPECT_TRUE(report.status.ok()) << report.status;
-  EXPECT_EQ(report.blocks_copied, 0);
-  EXPECT_EQ(report.resume_from, 0);
-  EXPECT_EQ(report.elapsed, 0);
-  EXPECT_FALSE(report.throughput_valid);
-  EXPECT_EQ(report.throughput_mbps, 0.0);
-}
-
-TEST_F(RebuildFixture, SourceUnitFailureReportsPartialProgressAndResumes) {
-  constexpr int kBlocks = 64;
-  WriteSourceBlocks(kBlocks);
-  RebuildAgent agent(&cluster_.sim(), source_, target_, kBlock);
-  RebuildReport report;
-  report.status = InternalError("pending");
-  bool done = false;
-  agent.Rebuild(kBlocks, [&](RebuildReport r) {
-    report = r;
-    done = true;
-  });
-  // Yank the source disk's failure unit mid-copy.
-  cluster_.sim().Schedule(sim::Seconds(1), [&] {
-    const Status failed = cluster_.fabric().FailUnit(source_disk_);
-    EXPECT_TRUE(failed.ok()) << failed;
-  });
-  cluster_.RunFor(sim::Seconds(300));
-  ASSERT_TRUE(done);
-  ASSERT_FALSE(report.status.ok());
-  EXPECT_GT(report.blocks_copied, 0);          // partial progress reported
-  EXPECT_LT(report.blocks_copied, kBlocks);
-  EXPECT_EQ(report.resume_from, report.blocks_copied);
-  EXPECT_EQ(report.tag_mismatches, 0);
-
-  // Repair the unit and resume from the reported block: the copy finishes
-  // without redoing verified work.
-  ASSERT_TRUE(cluster_.fabric().RepairUnit(source_disk_).ok());
-  cluster_.RunFor(sim::Seconds(60));  // remount settles
-  RebuildReport resumed;
-  resumed.status = InternalError("pending");
-  done = false;
-  agent.RebuildFrom(report.resume_from, kBlocks, [&](RebuildReport r) {
-    resumed = r;
-    done = true;
-  });
-  cluster_.RunFor(sim::Seconds(300));
-  ASSERT_TRUE(done);
-  ASSERT_TRUE(resumed.status.ok()) << resumed.status;
-  EXPECT_EQ(resumed.blocks_copied, kBlocks - report.resume_from);
-  EXPECT_EQ(resumed.resume_from, kBlocks);
-
-  // Blocks on both sides of the resume point round-trip.
-  for (int i : {0, report.resume_from - 1, report.resume_from, kBlocks - 1}) {
-    Result<std::uint64_t> tag = InternalError("pending");
-    target_->Read(static_cast<Bytes>(i) * kBlock, kBlock, /*random=*/false,
-                  [&](Result<std::uint64_t> r) { tag = r; });
-    cluster_.RunFor(sim::Seconds(10));
-    ASSERT_TRUE(tag.ok()) << tag.status();
-    EXPECT_EQ(*tag, kBaseTag + i);
-  }
-}
-
 // --- RebuildEngine over Master-placed stripes ------------------------------------
 
 // A live cluster with RS(2+1) stripes allocated through the Master, every
@@ -555,13 +376,47 @@ class StripeWorld {
     };
   }
 
-  RebuildEngineReport Execute(const redundancy::RebuildPlan& plan,
-                              int first_op = 0,
-                              std::uint64_t corrupt_stripe = ~0ULL) {
-    RebuildEngineOptions options;
+  // The engine options every Execute() uses; tests tune engine_options_.
+  RebuildEngineOptions EngineOptions() const {
+    RebuildEngineOptions options = engine_options_;
     options.chunk_size = kChunk;
     options.total_disks = map_.layout().disks();
-    RebuildEngine engine(&cluster_.sim(), &map_, options, MakeResolver(plan));
+    return options;
+  }
+
+  // Synchronous chunk I/O on a volume, at offset 0.
+  void WriteChunk(core::ClientLib::Volume* volume, std::uint64_t tag) {
+    Status status = InternalError("pending");
+    volume->Write(0, kChunk, /*random=*/false, tag,
+                  [&](Status s) { status = s; });
+    cluster_.RunFor(sim::Seconds(10));
+    EXPECT_TRUE(status.ok()) << status;
+  }
+  Result<std::uint64_t> ReadChunk(core::ClientLib::Volume* volume) {
+    Result<std::uint64_t> tag = InternalError("pending");
+    volume->Read(0, kChunk, /*random=*/false,
+                 [&](Result<std::uint64_t> r) { tag = r; });
+    cluster_.RunFor(sim::Seconds(10));
+    return tag;
+  }
+
+  // Every spare of `plan` holds its lost chunk's tag.
+  void ExpectSparesRebuilt(const redundancy::RebuildPlan& plan) {
+    for (const redundancy::RebuildStripeOp& op : plan.ops) {
+      const Result<std::uint64_t> tag = ReadChunk(spares_.at(op.stripe));
+      ASSERT_TRUE(tag.ok()) << tag.status();
+      EXPECT_EQ(*tag, redundancy::ChunkTag(kGenBase + op.stripe,
+                                           op.lost_chunk))
+          << "stripe " << op.stripe;
+    }
+  }
+
+  RebuildEngineReport Execute(const redundancy::RebuildPlan& plan,
+                              int first_op = 0,
+                              std::uint64_t corrupt_stripe = ~0ULL,
+                              RebuildEngine::ChunkResolver resolver = {}) {
+    RebuildEngine engine(&cluster_.sim(), &map_, EngineOptions(),
+                         resolver ? std::move(resolver) : MakeResolver(plan));
     if (corrupt_stripe != ~0ULL) {
       engine.CorruptSpareWriteForTest(corrupt_stripe);
     }
@@ -582,6 +437,7 @@ class StripeWorld {
   std::vector<core::ClientLib::StripeVolumes> stripes_;
   std::map<std::uint64_t, core::ClientLib::Volume*> spares_;
   redundancy::StripeMap map_;
+  RebuildEngineOptions engine_options_;
   int failed_disk_ = -1;
 };
 
@@ -692,6 +548,328 @@ TEST(StripeRebuild, ReportIsIdenticalAcrossIdenticalWorlds) {
   EXPECT_EQ(a.resume_from, b.resume_from);
   EXPECT_EQ(a.elapsed, b.elapsed);
   EXPECT_EQ(a.throughput_mbps, b.throughput_mbps);
+}
+
+TEST(StripeRebuild, ReadsSubmitInSlotOrderNotAddressOrder) {
+  // Reads submitted in Volume* address order would make the rebuild's
+  // simulated time depend on the process's allocation history. Put the
+  // read volumes in descending address order against the slot order (by
+  // rewriting which volume holds which chunk) and require the submissions
+  // to follow the slots.
+  StripeWorld world;
+  redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  ASSERT_GT(plan.ops.size(), 0u);
+  plan.ops.resize(1);
+  const redundancy::RebuildStripeOp& op = plan.ops.front();
+  const redundancy::Stripe& stripe = world.map_.stripe(op.stripe);
+
+  // The chunk each read slot reads, recovered the way the engine does.
+  std::vector<int> slot_chunks;
+  for (const fabric::ChunkLocation& loc : op.reads) {
+    for (int c = 0; c < static_cast<int>(stripe.chunks.size()); ++c) {
+      if (c != op.lost_chunk && stripe.chunks[c] == loc) {
+        slot_chunks.push_back(c);
+        break;
+      }
+    }
+  }
+  ASSERT_EQ(slot_chunks.size(), op.reads.size());
+  ASSERT_GE(slot_chunks.size(), 2u);
+
+  std::vector<core::ClientLib::Volume*> volumes;
+  for (const int chunk : slot_chunks) {
+    volumes.push_back(world.stripes_[op.stripe].chunks[chunk]);
+  }
+  std::sort(volumes.begin(), volumes.end(),
+            std::greater<core::ClientLib::Volume*>());
+  const std::uint64_t gen = StripeWorld::kGenBase + op.stripe;
+  int acked = 0;
+  for (std::size_t slot = 0; slot < volumes.size(); ++slot) {
+    volumes[slot]->Write(0, StripeWorld::kChunk, /*random=*/false,
+                         redundancy::ChunkTag(gen, slot_chunks[slot]),
+                         [&](Status status) {
+                           EXPECT_TRUE(status.ok()) << status;
+                           ++acked;
+                         });
+  }
+  world.cluster_.RunFor(sim::Seconds(10));
+  ASSERT_EQ(acked, static_cast<int>(volumes.size()));
+
+  RebuildEngine::ChunkResolver fallback = world.MakeResolver(plan);
+  RebuildEngine::ChunkResolver resolver =
+      [&](std::uint64_t stripe_id, int chunk,
+          const fabric::ChunkLocation& loc) {
+        for (std::size_t slot = 0; slot < slot_chunks.size(); ++slot) {
+          if (stripe_id == op.stripe && chunk == slot_chunks[slot]) {
+            return RebuildEngine::ChunkAddress{volumes[slot], 0};
+          }
+        }
+        return fallback(stripe_id, chunk, loc);
+      };
+
+  obs::Tracer().Clear();
+  const std::size_t capacity = obs::Tracer().capacity();
+  obs::Tracer().set_capacity(std::size_t{1} << 16);
+  const RebuildEngineReport report =
+      world.Execute(plan, /*first_op=*/0, /*corrupt_stripe=*/~0ULL, resolver);
+  std::vector<obs::TraceSpan> batches;
+  for (obs::TraceSpan& span : obs::Tracer().CompletedInOrder()) {
+    if (span.component == "client" && span.name == "submit_batch") {
+      batches.push_back(std::move(span));
+    }
+  }
+  obs::Tracer().set_capacity(capacity);
+  ASSERT_TRUE(report.status.ok()) << report.status;
+
+  // Begin order is the high half of the span id.
+  std::sort(batches.begin(), batches.end(),
+            [](const obs::TraceSpan& a, const obs::TraceSpan& b) {
+              return (a.id >> 32) < (b.id >> 32);
+            });
+  std::vector<std::string> submitted;
+  for (const obs::TraceSpan& span : batches) {
+    for (const auto& [key, value] : span.attrs) {
+      if (key == "space") submitted.push_back(value);
+    }
+  }
+  std::vector<std::string> expected;
+  for (const core::ClientLib::Volume* volume : volumes) {
+    expected.push_back(volume->id().ToString());
+  }
+  EXPECT_EQ(submitted, expected);
+}
+
+TEST(StripeRebuild, EmptyPlanFinishesOkWithNoThroughput) {
+  // Nothing to rebuild is an explicit report, not a stall: OK status, no
+  // elapsed time, no throughput claim, resume point at the plan's end.
+  sim::Simulator sim;
+  redundancy::StripeMap map(StripeWorld::MakeOptions());
+  const redundancy::RebuildPlan plan;
+  RebuildEngine engine(&sim, &map, RebuildEngineOptions{},
+                       [](std::uint64_t, int, const fabric::ChunkLocation&) {
+                         ADD_FAILURE() << "empty plan resolved a chunk";
+                         return RebuildEngine::ChunkAddress{};
+                       });
+  RebuildEngineReport report;
+  report.status = InternalError("pending");
+  bool done = false;
+  engine.Execute(plan, [&](RebuildEngineReport r) {
+    report = r;
+    done = true;
+  });
+  sim.Run();
+  ASSERT_TRUE(done);
+  EXPECT_TRUE(report.status.ok()) << report.status;
+  EXPECT_EQ(report.stripes_total, 0);
+  EXPECT_EQ(report.stripes_rebuilt, 0);
+  EXPECT_EQ(report.elapsed, 0);
+  EXPECT_FALSE(report.throughput_valid);
+  EXPECT_EQ(report.throughput_mbps, 0.0);
+  EXPECT_EQ(report.resume_from, 0);
+  EXPECT_TRUE(CheckRebuildResumable(report).ok());
+}
+
+TEST(StripeRebuild, SurvivorTagDisagreementIsDataLossBeforeAnySpareWrite) {
+  // Survivors that decode to different generator tags are a detected RS
+  // syndrome mismatch: the stripe fails as kDataLoss before its spare is
+  // written, and the run stops at that op.
+  StripeWorld world;
+  const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  ASSERT_GT(plan.ops.size(), 0u);
+  const redundancy::RebuildStripeOp& op = plan.ops.front();
+  const int survivor = op.lost_chunk == 0 ? 1 : 0;
+  core::ClientLib::Volume* volume =
+      world.stripes_[op.stripe].chunks[survivor];
+  world.WriteChunk(volume, redundancy::ChunkTag(
+                               StripeWorld::kGenBase + op.stripe + 1000,
+                               survivor));
+
+  world.engine_options_.max_stripes_in_flight = 1;  // nothing else starts
+  const RebuildEngineReport report = world.Execute(plan);
+  EXPECT_EQ(report.status.code(), StatusCode::kDataLoss);
+  EXPECT_EQ(report.tag_mismatches, 1);
+  EXPECT_EQ(report.chunk_reads, StripeWorld::kData);
+  EXPECT_EQ(report.chunk_writes, 0);
+  EXPECT_EQ(report.stripes_rebuilt, 0);
+  EXPECT_EQ(report.resume_from, 0);
+  EXPECT_FALSE(report.throughput_valid);
+  EXPECT_TRUE(CheckRebuildResumable(report).ok());
+
+  // With the survivor restored the same plan rebuilds from op 0.
+  world.WriteChunk(volume, redundancy::ChunkTag(
+                               StripeWorld::kGenBase + op.stripe, survivor));
+  const RebuildEngineReport resumed = world.Execute(plan, report.resume_from);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status;
+  EXPECT_EQ(resumed.stripes_rebuilt, static_cast<int>(plan.ops.size()));
+  world.ExpectSparesRebuilt(plan);
+}
+
+TEST(StripeRebuild, LostSurvivorWithNoAlternateReportsProgressAndResumes) {
+  // RS(2+1) has no survivor beyond the two the plan reads, so losing one
+  // of them leaves the stripe unreadable: no failover, the run fails, and
+  // the report says exactly how far it got. After the unit is repaired the
+  // rebuild resumes from there without redoing verified stripes.
+  StripeWorld world;
+  const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  const int ops = static_cast<int>(plan.ops.size());
+  ASSERT_GE(ops, 2);
+  const redundancy::RebuildStripeOp& last = plan.ops.back();
+  const int survivor = last.lost_chunk == 0 ? 1 : 0;
+  const std::string disk =
+      world.stripes_[last.stripe].chunks[survivor]->id().disk;
+  ASSERT_TRUE(world.cluster_.fabric().FailUnit(disk).ok());
+
+  world.engine_options_.max_stripes_in_flight = 1;  // in-order completion
+  const RebuildEngineReport report = world.Execute(plan);
+  ASSERT_FALSE(report.status.ok());
+  EXPECT_EQ(report.read_failovers, 0);
+  EXPECT_EQ(report.tag_mismatches, 0);
+  EXPECT_LT(report.stripes_rebuilt, ops);
+  EXPECT_EQ(report.resume_from, report.stripes_rebuilt);
+  EXPECT_TRUE(CheckRebuildResumable(report).ok());
+
+  ASSERT_TRUE(world.cluster_.fabric().RepairUnit(disk).ok());
+  world.cluster_.RunFor(sim::Seconds(60));  // remount settles
+  const RebuildEngineReport resumed = world.Execute(plan, report.resume_from);
+  ASSERT_TRUE(resumed.status.ok()) << resumed.status;
+  EXPECT_EQ(resumed.stripes_total, ops - report.resume_from);
+  EXPECT_EQ(resumed.stripes_rebuilt, ops - report.resume_from);
+  EXPECT_EQ(resumed.resume_from, ops);
+  world.ExpectSparesRebuilt(plan);
+}
+
+TEST(StripeRebuild, BudgetBelowOneStripeSerialisesLikeOneStripeInFlight) {
+  // A spin budget smaller than one stripe's footprint must still make
+  // progress: each op waits for the previous one to drain, then runs
+  // alone. That is the same schedule as one stripe in flight, so the two
+  // reports agree on everything but the recorded stalls.
+  auto run = [](RebuildEngineOptions tuning) {
+    StripeWorld world;
+    world.engine_options_ = tuning;
+    const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+    const RebuildEngineReport report = world.Execute(plan);
+    world.ExpectSparesRebuilt(plan);
+    return report;
+  };
+  RebuildEngineOptions one_disk;
+  one_disk.max_active_disks = 1;
+  RebuildEngineOptions one_stripe;
+  one_stripe.max_stripes_in_flight = 1;
+  const RebuildEngineReport budget = run(one_disk);
+  const RebuildEngineReport serial = run(one_stripe);
+
+  ASSERT_TRUE(budget.status.ok()) << budget.status;
+  ASSERT_TRUE(serial.status.ok()) << serial.status;
+  ASSERT_GE(budget.stripes_total, 2);
+  EXPECT_EQ(budget.stripes_rebuilt, budget.stripes_total);
+  EXPECT_EQ(budget.admission_stalls, budget.stripes_total - 1);
+  EXPECT_EQ(serial.admission_stalls, 0);
+  EXPECT_EQ(budget.stripes_rebuilt, serial.stripes_rebuilt);
+  EXPECT_EQ(budget.chunk_reads, serial.chunk_reads);
+  EXPECT_EQ(budget.chunk_writes, serial.chunk_writes);
+  EXPECT_EQ(budget.elapsed, serial.elapsed);
+  EXPECT_EQ(budget.throughput_mbps, serial.throughput_mbps);
+}
+
+TEST(StripeRebuild, ThroughputIsRebuiltSpareBytesOverElapsed) {
+  StripeWorld world;
+  const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  const RebuildEngineReport report = world.Execute(plan);
+  ASSERT_TRUE(report.status.ok()) << report.status;
+  ASSERT_GT(report.elapsed, 0);
+  ASSERT_TRUE(report.throughput_valid);
+  EXPECT_DOUBLE_EQ(report.throughput_mbps,
+                   static_cast<double>(report.stripes_rebuilt) *
+                       static_cast<double>(StripeWorld::kChunk) /
+                       sim::ToSeconds(report.elapsed) / 1e6);
+}
+
+TEST(StripeRebuild, VerifyOffTrustsTheSpareWrite) {
+  // The spare read-back is the only guard against a bad spare write: with
+  // it off, a corrupted write is reported as rebuilt and the spare keeps
+  // the wrong tag.
+  StripeWorld world;
+  world.engine_options_.verify_spare = false;
+  const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  ASSERT_GT(plan.ops.size(), 0u);
+  const redundancy::RebuildStripeOp& op = plan.ops.front();
+  const RebuildEngineReport report =
+      world.Execute(plan, /*first_op=*/0, /*corrupt_stripe=*/op.stripe);
+  ASSERT_TRUE(report.status.ok()) << report.status;
+  EXPECT_EQ(report.tag_mismatches, 0);
+  EXPECT_EQ(report.stripes_rebuilt, static_cast<int>(plan.ops.size()));
+  EXPECT_EQ(report.chunk_reads,
+            StripeWorld::kData * static_cast<int>(plan.ops.size()));
+
+  const Result<std::uint64_t> tag =
+      world.ReadChunk(world.spares_.at(op.stripe));
+  ASSERT_TRUE(tag.ok()) << tag.status();
+  EXPECT_NE(*tag, redundancy::ChunkTag(StripeWorld::kGenBase + op.stripe,
+                                       op.lost_chunk));
+}
+
+TEST(StripeRebuild, ResumeAtOrPastThePlanEndIsAnExplicitNoOp) {
+  // Resuming a finished rebuild does nothing and says so; a resume point
+  // outside the plan is clamped to it.
+  StripeWorld world;
+  const redundancy::RebuildPlan plan = world.PlanAndPrepare();
+  const int ops = static_cast<int>(plan.ops.size());
+  ASSERT_GT(ops, 0);
+  for (const int first_op : {ops, ops + 7}) {
+    const RebuildEngineReport report = world.Execute(plan, first_op);
+    EXPECT_TRUE(report.status.ok()) << report.status;
+    EXPECT_EQ(report.stripes_total, 0) << first_op;
+    EXPECT_EQ(report.stripes_rebuilt, 0);
+    EXPECT_EQ(report.chunk_reads, 0);
+    EXPECT_EQ(report.chunk_writes, 0);
+    EXPECT_EQ(report.elapsed, 0);
+    EXPECT_FALSE(report.throughput_valid);
+    EXPECT_EQ(report.resume_from, ops);
+  }
+  const RebuildEngineReport full = world.Execute(plan, /*first_op=*/-3);
+  ASSERT_TRUE(full.status.ok()) << full.status;
+  EXPECT_EQ(full.stripes_total, ops);
+  EXPECT_EQ(full.stripes_rebuilt, ops);
+}
+
+TEST(RebuildResumableTest, RejectsMalformedReports) {
+  // The contract chaos enforces on an interrupted rebuild, case by case.
+  RebuildEngineReport clean;
+  clean.stripes_total = 4;
+  clean.stripes_rebuilt = 4;
+  clean.resume_from = 4;
+  clean.elapsed = sim::Seconds(1);
+  clean.throughput_valid = true;
+  EXPECT_TRUE(CheckRebuildResumable(clean).ok());
+
+  RebuildEngineReport interrupted = clean;
+  interrupted.status = UnavailableError("disk lost");
+  interrupted.stripes_rebuilt = 2;
+  interrupted.resume_from = 2;
+  EXPECT_TRUE(CheckRebuildResumable(interrupted).ok());
+
+  RebuildEngineReport bad = clean;
+  bad.stripes_rebuilt = 5;  // more than the plan held
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+  bad = clean;
+  bad.stripes_rebuilt = -1;
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+  bad = clean;
+  bad.elapsed = 0;  // a rate with no time behind it
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+  bad = clean;
+  bad.stripes_rebuilt = 3;  // clean status, unfinished work
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+  bad = interrupted;
+  bad.resume_from = -1;  // failed with nowhere to restart
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+  bad = interrupted;
+  bad.stripes_rebuilt = 4;  // failed, yet everything accounted rebuilt
+  EXPECT_FALSE(CheckRebuildResumable(bad).ok());
+
+  RebuildEngineReport empty_failure;  // nothing was planned, then a fault
+  empty_failure.status = UnavailableError("disk lost");
+  EXPECT_TRUE(CheckRebuildResumable(empty_failure).ok());
 }
 
 }  // namespace

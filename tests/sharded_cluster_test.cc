@@ -11,6 +11,7 @@
 // and final clock), its FNV digest, and the engine event count.
 #include "core/cluster_sharded.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -395,6 +396,15 @@ TEST(ShardedClusterTest, FaultFreeRunKeepsEveryDiskOnTheSoaPath) {
     EXPECT_EQ(grp.faults_requested, 0u);
     EXPECT_EQ(grp.bursts, grp.range_bursts);
   }
+}
+
+TEST(ShardedClusterTest, ClusterExposesShardPlanForItsFabric) {
+  core::ClusterOptions options;
+  core::Cluster cluster(options);
+  const fabric::ShardPlan plan = cluster.BuildShardPlan(2);
+  EXPECT_GE(plan.groups(), 1);
+  EXPECT_LE(plan.shards, std::max(plan.groups(), 1));
+  EXPECT_GT(plan.lookahead, sim::Micros(200));  // rpc floor + usb hop
 }
 
 }  // namespace

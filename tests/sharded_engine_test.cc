@@ -2,7 +2,7 @@
 // epoch/lookahead semantics, mailbox flush ordering, and raw-engine
 // determinism across shard and thread counts. The model-level bit-identity
 // contract (reports, metric JSON, trace digests vs the single-queue
-// oracle) lives in sharded_unit_test.cc.
+// oracle) lives in sharded_cluster_test.cc and fleet_test.cc.
 #include "sim/sharded.h"
 
 #include <atomic>
