@@ -152,34 +152,22 @@ int main(int argc, char** argv) {
       sim::ToSeconds(p90), sim::ToSeconds(p99), sim::ToSeconds(max));
 
   if (!args.json_path.empty()) {
-    const struct { const char* name; sim::Duration value; } entries[] = {
-        {"chaos/recovery_p50", p50},
-        {"chaos/recovery_p90", p90},
-        {"chaos/recovery_p99", p99},
-        {"chaos/recovery_max", max},
-    };
-    std::string json =
-        "{\n  \"context\": {\"plans\": " + std::to_string(args.plans) +
-        ", \"faults\": " + std::to_string(args.faults) +
-        ", \"seed\": " + std::to_string(args.seed) + "},\n"
-        "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < 4; ++i) {
-      json += "    {\"name\": \"" + std::string(entries[i].name) +
-              "\", \"run_type\": \"iteration\", \"iterations\": " +
-              std::to_string(faults_total) +
-              ", \"real_time\": " + std::to_string(entries[i].value) +
-              ", \"cpu_time\": " + std::to_string(entries[i].value) +
-              ", \"time_unit\": \"ns\"}";
-      json += i + 1 < 4 ? ",\n" : "\n";
+    std::vector<bench::BenchRecord> records;
+    for (const auto& [name, value] :
+         {std::pair{"chaos/recovery_p50", p50},
+          std::pair{"chaos/recovery_p90", p90},
+          std::pair{"chaos/recovery_p99", p99},
+          std::pair{"chaos/recovery_max", max}}) {
+      records.push_back({name, static_cast<std::uint64_t>(faults_total),
+                         std::to_string(value), {}});
     }
-    json += "  ]\n}\n";
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+    if (!bench::WriteBenchJson(args.json_path,
+                               {{"plans", std::to_string(args.plans)},
+                                {"faults", std::to_string(args.faults)},
+                                {"seed", std::to_string(args.seed)}},
+                               records)) {
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
   }
 
   if (violations_total > 0) {

@@ -320,32 +320,23 @@ int main(int argc, char** argv) {
               wall_speedup, event_reduction);
 
   if (!args.json_path.empty()) {
-    std::string json =
-        "{\n  \"context\": {\"ops\": " + std::to_string(args.ops) +
-        ", \"window\": " + std::to_string(args.window) + "},\n"
-        "  \"benchmarks\": [\n";
-    const ModeResult* modes[] = {&serial, &batched};
-    const char* names[] = {"dataplane/serial", "dataplane/batched"};
-    for (int i = 0; i < 2; ++i) {
-      json += "    {\"name\": \"" + std::string(names[i]) +
-              "\", \"run_type\": \"iteration\", \"iterations\": " +
-              std::to_string(args.repeats) +
-              ", \"real_time\": " + bench::Fmt(modes[i]->ns_per_op, 1) +
-              ", \"cpu_time\": " + bench::Fmt(modes[i]->ns_per_op, 1) +
-              ", \"time_unit\": \"ns\", \"events\": " +
-              std::to_string(modes[i]->events) +
-              ", \"events_per_op\": " +
-              bench::Fmt(modes[i]->events_per_op, 2) + "}";
-      json += i == 0 ? ",\n" : "\n";
+    std::vector<bench::BenchRecord> records;
+    for (const auto& [name, mode] :
+         {std::pair{"dataplane/serial", &serial},
+          std::pair{"dataplane/batched", &batched}}) {
+      records.push_back(
+          {name, static_cast<std::uint64_t>(args.repeats),
+           bench::Fmt(mode->ns_per_op, 1),
+           {{"events", std::to_string(mode->events)},
+            {"events_per_op", bench::Fmt(mode->events_per_op, 2)}}});
     }
-    json += "  ]\n}\n";
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+    if (!bench::WriteBenchJson(args.json_path,
+                               {{"ops", std::to_string(args.ops)},
+                                {"window", std::to_string(args.window)}},
+                               records)) {
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
   }
+
   return 0;
 }

@@ -293,28 +293,18 @@ int main(int argc, char** argv) {
       overhead(rows[5].result, rows[3].result));
 
   if (!args.json_path.empty()) {
-    std::string json =
-        "{\n  \"context\": {\"ops\": " + std::to_string(args.ops) +
-        ", \"window\": " + std::to_string(args.window) + "},\n"
-        "  \"benchmarks\": [\n";
-    for (int i = 0; i < kRows; ++i) {
-      json += "    {\"name\": \"" + std::string(rows[i].name) +
-              "\", \"run_type\": \"iteration\", \"iterations\": " +
-              std::to_string(args.repeats) +
-              ", \"real_time\": " + bench::Fmt(rows[i].result.ns_per_op, 1) +
-              ", \"cpu_time\": " + bench::Fmt(rows[i].result.ns_per_op, 1) +
-              ", \"time_unit\": \"ns\", \"spans\": " +
-              std::to_string(rows[i].result.spans) + "}";
-      json += i < kRows - 1 ? ",\n" : "\n";
+    std::vector<bench::BenchRecord> records;
+    for (const Row& row : rows) {
+      records.push_back({row.name, static_cast<std::uint64_t>(args.repeats),
+                         bench::Fmt(row.result.ns_per_op, 1),
+                         {{"spans", std::to_string(row.result.spans)}}});
     }
-    json += "  ]\n}\n";
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+    if (!bench::WriteBenchJson(args.json_path,
+                               {{"ops", std::to_string(args.ops)},
+                                {"window", std::to_string(args.window)}},
+                               records)) {
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
   }
   return 0;
 }

@@ -247,39 +247,24 @@ int main(int argc, char** argv) {
   }
 
   if (!args.json_path.empty()) {
-    std::string json =
-        "{\n  \"context\": {\"chunks_per_disk\": " +
-        std::to_string(args.chunks_per_disk) +
-        ", \"data_chunks\": " + std::to_string(args.data_chunks) +
-        ", \"parity_chunks\": " + std::to_string(args.parity_chunks) +
-        ", \"disks_per_domain\": " + std::to_string(args.disks_per_domain) +
-        ", \"seed\": " + std::to_string(args.seed) + "},\n"
-        "  \"benchmarks\": [\n";
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const SweepPoint& pt = points[i];
-      const struct { std::string name; sim::Duration value; } entries[] = {
-          {"rebuild/declustered_n" + std::to_string(pt.disks),
-           pt.declustered},
-          {"rebuild/serial_n" + std::to_string(pt.disks), pt.serial},
-      };
-      for (std::size_t e = 0; e < 2; ++e) {
-        json += "    {\"name\": \"" + entries[e].name +
-                "\", \"run_type\": \"iteration\", \"iterations\": " +
-                std::to_string(pt.chunks_lost) +
-                ", \"real_time\": " + std::to_string(entries[e].value) +
-                ", \"cpu_time\": " + std::to_string(entries[e].value) +
-                ", \"time_unit\": \"ns\"}";
-        json += (i + 1 < points.size() || e == 0) ? ",\n" : "\n";
-      }
+    std::vector<bench::BenchRecord> records;
+    for (const SweepPoint& pt : points) {
+      const auto iterations = static_cast<std::uint64_t>(pt.chunks_lost);
+      records.push_back({"rebuild/declustered_n" + std::to_string(pt.disks),
+                         iterations, std::to_string(pt.declustered), {}});
+      records.push_back({"rebuild/serial_n" + std::to_string(pt.disks),
+                         iterations, std::to_string(pt.serial), {}});
     }
-    json += "  ]\n}\n";
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
+    if (!bench::WriteBenchJson(
+            args.json_path,
+            {{"chunks_per_disk", std::to_string(args.chunks_per_disk)},
+             {"data_chunks", std::to_string(args.data_chunks)},
+             {"parity_chunks", std::to_string(args.parity_chunks)},
+             {"disks_per_domain", std::to_string(args.disks_per_domain)},
+             {"seed", std::to_string(args.seed)}},
+            records)) {
       return 1;
     }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
   }
 
   if (args.expect_flat > 0 && points.size() >= 2) {

@@ -1,6 +1,6 @@
 // Fleet scale-out benchmark (DESIGN.md §8).
 //
-// Runs N independent deploy units (core::Fleet) under a mixed cold-read +
+// Runs N independent deploy units (core::RunFleet) under a mixed cold-read +
 // archival-write workload and reports simulation throughput:
 //
 //   * wall-clock events/second across the whole fleet,
@@ -235,17 +235,17 @@ struct RunResult {
   double ns_per_event = 0;
 };
 
-RunResult RunFleet(const Args& args, int units, int threads) {
+RunResult RunMixedFleet(const Args& args, int units, int threads) {
   core::FleetOptions options;
   options.units = units;
   options.threads = threads;
   options.seed = args.seed;
-  core::Fleet fleet(options);
   RunResult result;
   const double sim_seconds = args.sim_seconds;
-  result.report = fleet.Run([sim_seconds](core::UnitContext& ctx) {
-    MixedWorkload(ctx, sim_seconds);
-  });
+  result.report =
+      core::RunFleet(options, [sim_seconds](core::UnitContext& ctx) {
+        MixedWorkload(ctx, sim_seconds);
+      });
   const double wall = result.report.wall_seconds;
   const double events =
       static_cast<double>(result.report.total_events);
@@ -358,6 +358,150 @@ std::uint64_t LocalDecisions(const core::ShardedClusterReport& report) {
   return total;
 }
 
+// What every sweep adds to: the determinism verdict, the best
+// multi-thread speedup seen (for --expect-speedup) and the JSON records.
+struct SweepTotals {
+  bool determinism_ok = true;
+  double max_speedup = 0;
+  std::vector<bench::BenchRecord> records;
+};
+
+// The real-cluster sweep: every --disks-per-unit size at every
+// --unit-threads count, best of --repeats, with the speedup taken against
+// the first --unit-threads entry and, under --check-determinism, each
+// report compared byte for byte with the single-queue oracle's.
+//
+// With `sharded_master` the same sweep runs with per-group meta leases
+// (DESIGN.md §15): each group's MasterShard answers heartbeats, meta
+// lookups and directives on its own shard, so the work the central pump
+// must serialize scales with the group count, not the disk count. Rows
+// then report the pump's wall occupancy next to the MasterShards' local
+// decision counts, and the sweep returns (disks, centrally-serialized
+// decisions per disk) at the first --unit-threads entry: deterministic
+// counts, not wall time, so immune to the cache noise the growing inner
+// simulation injects into wall measurements.
+std::vector<std::pair<int, double>> RealClusterSweep(const Args& args,
+                                                     bool sharded_master,
+                                                     SweepTotals& totals) {
+  std::vector<std::string> header;
+  if (sharded_master) {
+    bench::PrintHeader(
+        "Sharded Master: per-group meta leases on the real Cluster\n"
+        "(" +
+        bench::Fmt(args.sim_seconds, 0) +
+        " simulated seconds, chaos=" + std::string(args.chaos ? "on" : "off") +
+        ", pump-ms = control pump wall occupancy,\n"
+        "drain-ms = its control-decision share (the lease-offloaded part),\n"
+        "local = MasterShard decisions, central = pump-served meta lookups)");
+    header = {"disks",    "threads", "events",  "ns/event", "pump-ms",
+              "drain-ms", "local",   "central", "speedup"};
+  } else {
+    bench::PrintHeader(
+        "Real Cluster on the sharded engine: live Master/EndPoints/fabric,\n"
+        "vectorized SoA disk sweeps (" +
+        bench::Fmt(args.sim_seconds, 0) + " simulated seconds, shards=" +
+        std::to_string(args.unit_shards) +
+        ", speedup vs the first --unit-threads entry)");
+    header = {"disks", "threads", "start-s",  "events",
+              "Mev/s", "sim-s/s", "ns/event", "speedup"};
+  }
+  if (args.check_determinism) header.push_back("identical");
+  bench::PrintRow(header, 12);
+
+  std::vector<std::pair<int, double>> flat;
+  for (const int disks : args.disks_per_unit) {
+    const auto per_disk = [disks](std::uint64_t value) {
+      return static_cast<double>(value) / std::max(disks, 1);
+    };
+    std::string oracle_json;
+    if (args.check_determinism) {
+      oracle_json = RunRealCluster(args, disks, 1, /*use_sharded=*/false,
+                                   sharded_master)
+                        .report.ToJson();
+    }
+    double baseline_wall = 0;
+    for (std::size_t t = 0; t < args.unit_threads.size(); ++t) {
+      const int unit_threads = args.unit_threads[t];
+      const RealClusterResult best = BestOfReal(
+          args, disks, unit_threads, /*use_sharded=*/true, sharded_master);
+      const core::ShardedClusterReport& report = best.report;
+      if (t == 0) baseline_wall = best.wall_seconds;
+      const double speedup =
+          best.wall_seconds > 0 ? baseline_wall / best.wall_seconds : 0;
+      if (unit_threads > 1) {
+        totals.max_speedup = std::max(totals.max_speedup, speedup);
+      }
+
+      std::vector<std::string> row = {std::to_string(disks),
+                                      std::to_string(unit_threads)};
+      bench::JsonFields fields = {
+          {"events", std::to_string(report.events_processed)},
+          {"events_per_second", bench::Fmt(best.events_per_second, 1)}};
+      if (sharded_master) {
+        const double central_per_disk =
+            per_disk(report.central_meta_lookups + report.lease_grants);
+        if (t == 0) flat.emplace_back(disks, central_per_disk);
+        const std::uint64_t local = LocalDecisions(report);
+        row.insert(
+            row.end(),
+            {std::to_string(report.events_processed),
+             bench::Fmt(best.ns_per_event, 1),
+             bench::Fmt(static_cast<double>(report.pump_busy_wall_ns) / 1e6,
+                        2),
+             bench::Fmt(static_cast<double>(report.pump_drain_wall_ns) / 1e6,
+                        2),
+             std::to_string(local),
+             std::to_string(report.central_meta_lookups)});
+        fields.insert(
+            fields.end(),
+            {{"pump_busy_ns", std::to_string(report.pump_busy_wall_ns)},
+             {"pump_busy_ns_per_disk",
+              bench::Fmt(per_disk(report.pump_busy_wall_ns), 1)},
+             {"pump_drain_ns", std::to_string(report.pump_drain_wall_ns)},
+             {"pump_drain_ns_per_disk",
+              bench::Fmt(per_disk(report.pump_drain_wall_ns), 1)},
+             {"central_decisions_per_disk", bench::Fmt(central_per_disk, 4)},
+             {"local_decisions", std::to_string(local)},
+             {"central_meta_lookups",
+              std::to_string(report.central_meta_lookups)},
+             {"lease_grants", std::to_string(report.lease_grants)}});
+      } else {
+        row.insert(row.end(),
+                   {bench::Fmt(best.start_seconds, 2),
+                    std::to_string(report.events_processed),
+                    bench::Fmt(best.events_per_second / 1e6, 2),
+                    bench::Fmt(best.wall_seconds > 0
+                                   ? args.sim_seconds / best.wall_seconds
+                                   : 0,
+                               1),
+                    bench::Fmt(best.ns_per_event, 1)});
+        fields.insert(
+            fields.end(),
+            {{"start_seconds", bench::Fmt(best.start_seconds, 3)},
+             {"pump_busy_ns", std::to_string(report.pump_busy_wall_ns)},
+             {"pump_busy_ns_per_disk",
+              bench::Fmt(per_disk(report.pump_busy_wall_ns), 1)}});
+      }
+      row.push_back(bench::Fmt(speedup, 2) + "x");
+      fields.emplace_back("speedup_vs_baseline", bench::Fmt(speedup, 3));
+      if (args.check_determinism) {
+        const bool identical = report.ToJson() == oracle_json;
+        totals.determinism_ok = totals.determinism_ok && identical;
+        row.push_back(identical ? "yes" : "NO");
+      }
+      bench::PrintRow(row, 12);
+
+      totals.records.push_back(
+          {std::string(sharded_master ? "scaleout/real_sm" : "scaleout/real") +
+               "/disks:" + std::to_string(disks) +
+               "/threads:" + std::to_string(unit_threads),
+           static_cast<std::uint64_t>(args.repeats),
+           bench::Fmt(best.ns_per_event, 1), std::move(fields)});
+    }
+  }
+  return flat;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -381,265 +525,86 @@ int main(int argc, char** argv) {
     if (threads <= 0) threads = 1;
   }
 
-  bool determinism_ok = true;
-  double max_speedup = 0;  // best multi-thread speedup seen in any sweep
-  std::vector<std::string> entries;
+  SweepTotals totals;
 
   if (!args.skip_fleet) {
-  bench::PrintHeader(
-      "Fleet scale-out: independent deploy units on a worker pool\n"
-      "(" +
-      bench::Fmt(args.sim_seconds, 0) +
-      " simulated seconds per unit, mixed cold reads + archival writes,\n"
-      "threads=" +
-      std::to_string(threads) + ")");
-  std::vector<std::string> header = {"units", "events", "Mev/s", "sim-s/s",
-                                     "ns/event"};
-  if (args.check_determinism) {
-    header.push_back("speedup");
-    header.push_back("identical");
-  }
-  bench::PrintRow(header, 12);
-
-  for (std::size_t i = 0; i < args.unit_counts.size(); ++i) {
-    const int units = args.unit_counts[i];
-    // Best-of-N: fleet runs are deterministic, so every repeat produces
-    // the same report — only the wall time varies. Keeping the fastest
-    // repeat filters out scheduler interference on loaded machines.
-    RunResult threaded = RunFleet(args, units, threads);
-    for (int repeat = 1; repeat < args.repeats; ++repeat) {
-      RunResult again = RunFleet(args, units, threads);
-      if (again.ns_per_event < threaded.ns_per_event) {
-        threaded = std::move(again);
-      }
-    }
-    for (const core::UnitReport& unit : threaded.report.units) {
-      if (!unit.error.empty()) {
-        std::fprintf(stderr, "unit %d failed: %s\n", unit.unit_id,
-                     unit.error.c_str());
-        return 1;
-      }
-    }
-
-    std::vector<std::string> row = {
-        std::to_string(units),
-        std::to_string(threaded.report.total_events),
-        bench::Fmt(threaded.events_per_second / 1e6, 2),
-        bench::Fmt(threaded.sim_per_wall, 1),
-        bench::Fmt(threaded.ns_per_event, 1)};
-    double speedup = 1.0;
-    if (args.check_determinism) {
-      RunResult serial = RunFleet(args, units, /*threads=*/1);
-      const bool identical =
-          serial.report.ToJson() == threaded.report.ToJson();
-      determinism_ok = determinism_ok && identical;
-      speedup = threaded.report.wall_seconds > 0
-                    ? serial.report.wall_seconds /
-                          threaded.report.wall_seconds
-                    : 0;
-      row.push_back(bench::Fmt(speedup, 2) + "x");
-      row.push_back(identical ? "yes" : "NO");
-    }
-    bench::PrintRow(row, 12);
-
-    entries.push_back(
-        "    {\"name\": \"scaleout/units:" + std::to_string(units) +
-        "\", \"run_type\": \"iteration\", \"iterations\": " +
-        std::to_string(args.repeats) +
-        ", \"real_time\": " + bench::Fmt(threaded.ns_per_event, 1) +
-        ", \"cpu_time\": " + bench::Fmt(threaded.ns_per_event, 1) +
-        ", \"time_unit\": \"ns\", \"events\": " +
-        std::to_string(threaded.report.total_events) +
-        ", \"events_per_second\": " +
-        bench::Fmt(threaded.events_per_second, 1) +
-        ", \"sim_seconds_per_wall_second\": " +
-        bench::Fmt(threaded.sim_per_wall, 2) + "}");
-  }
-  }  // !args.skip_fleet
-
-  if (!args.disks_per_unit.empty()) {
     bench::PrintHeader(
-        "Real Cluster on the sharded engine: live Master/EndPoints/fabric,\n"
-        "vectorized SoA disk sweeps (" +
-        bench::Fmt(args.sim_seconds, 0) + " simulated seconds, shards=" +
-        std::to_string(args.unit_shards) +
-        ", speedup vs the first --unit-threads entry)");
-    std::vector<std::string> header = {"disks",    "threads", "start-s",
-                                       "events",   "Mev/s",   "sim-s/s",
-                                       "ns/event", "speedup"};
-    if (args.check_determinism) header.push_back("identical");
+        "Fleet scale-out: independent deploy units on a worker pool\n"
+        "(" +
+        bench::Fmt(args.sim_seconds, 0) +
+        " simulated seconds per unit, mixed cold reads + archival writes,\n"
+        "threads=" +
+        std::to_string(threads) + ")");
+    std::vector<std::string> header = {"units", "events", "Mev/s", "sim-s/s",
+                                       "ns/event"};
+    if (args.check_determinism) {
+      header.push_back("speedup");
+      header.push_back("identical");
+    }
     bench::PrintRow(header, 12);
 
-    for (const int disks : args.disks_per_unit) {
-      std::string oracle_json;
-      if (args.check_determinism) {
-        oracle_json = RunRealCluster(args, disks, 1, /*use_sharded=*/false)
-                          .report.ToJson();
-      }
-      double baseline_wall = 0;
-      for (std::size_t t = 0; t < args.unit_threads.size(); ++t) {
-        const int unit_threads = args.unit_threads[t];
-        const RealClusterResult best =
-            BestOfReal(args, disks, unit_threads, /*use_sharded=*/true);
-        if (t == 0) baseline_wall = best.wall_seconds;
-        const double speedup =
-            best.wall_seconds > 0 ? baseline_wall / best.wall_seconds : 0;
-        if (unit_threads > 1) max_speedup = std::max(max_speedup, speedup);
-
-        std::vector<std::string> row = {
-            std::to_string(disks),
-            std::to_string(unit_threads),
-            bench::Fmt(best.start_seconds, 2),
-            std::to_string(best.report.events_processed),
-            bench::Fmt(best.events_per_second / 1e6, 2),
-            bench::Fmt(best.wall_seconds > 0
-                           ? args.sim_seconds / best.wall_seconds
-                           : 0,
-                       1),
-            bench::Fmt(best.ns_per_event, 1),
-            bench::Fmt(speedup, 2) + "x"};
-        bool identical = true;
-        if (args.check_determinism) {
-          identical = best.report.ToJson() == oracle_json;
-          determinism_ok = determinism_ok && identical;
-          row.push_back(identical ? "yes" : "NO");
+    for (const int units : args.unit_counts) {
+      // Best-of-N: fleet runs are deterministic, so every repeat produces
+      // the same report — only the wall time varies. Keeping the fastest
+      // repeat filters out scheduler interference on loaded machines.
+      RunResult threaded = RunMixedFleet(args, units, threads);
+      for (int repeat = 1; repeat < args.repeats; ++repeat) {
+        RunResult again = RunMixedFleet(args, units, threads);
+        if (again.ns_per_event < threaded.ns_per_event) {
+          threaded = std::move(again);
         }
-        bench::PrintRow(row, 12);
-
-        entries.push_back(
-            "    {\"name\": \"scaleout/real/disks:" + std::to_string(disks) +
-            "/threads:" + std::to_string(unit_threads) +
-            "\", \"run_type\": \"iteration\", \"iterations\": " +
-            std::to_string(args.repeats) +
-            ", \"real_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"cpu_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"time_unit\": \"ns\", \"events\": " +
-            std::to_string(best.report.events_processed) +
-            ", \"events_per_second\": " +
-            bench::Fmt(best.events_per_second, 1) +
-            ", \"start_seconds\": " + bench::Fmt(best.start_seconds, 3) +
-            ", \"pump_busy_ns\": " +
-            std::to_string(best.report.pump_busy_wall_ns) +
-            ", \"pump_busy_ns_per_disk\": " +
-            bench::Fmt(static_cast<double>(best.report.pump_busy_wall_ns) /
-                           std::max(disks, 1),
-                       1) +
-            ", \"speedup_vs_baseline\": " + bench::Fmt(speedup, 3) + "}");
       }
+      for (const core::UnitReport& unit : threaded.report.units) {
+        if (!unit.error.empty()) {
+          std::fprintf(stderr, "unit %d failed: %s\n", unit.unit_id,
+                       unit.error.c_str());
+          return 1;
+        }
+      }
+
+      std::vector<std::string> row = {
+          std::to_string(units),
+          std::to_string(threaded.report.total_events),
+          bench::Fmt(threaded.events_per_second / 1e6, 2),
+          bench::Fmt(threaded.sim_per_wall, 1),
+          bench::Fmt(threaded.ns_per_event, 1)};
+      if (args.check_determinism) {
+        RunResult serial = RunMixedFleet(args, units, /*threads=*/1);
+        const bool identical =
+            serial.report.ToJson() == threaded.report.ToJson();
+        totals.determinism_ok = totals.determinism_ok && identical;
+        const double speedup = threaded.report.wall_seconds > 0
+                                   ? serial.report.wall_seconds /
+                                         threaded.report.wall_seconds
+                                   : 0;
+        row.push_back(bench::Fmt(speedup, 2) + "x");
+        row.push_back(identical ? "yes" : "NO");
+      }
+      bench::PrintRow(row, 12);
+
+      totals.records.push_back(
+          {"scaleout/units:" + std::to_string(units),
+           static_cast<std::uint64_t>(args.repeats),
+           bench::Fmt(threaded.ns_per_event, 1),
+           {{"events", std::to_string(threaded.report.total_events)},
+            {"events_per_second", bench::Fmt(threaded.events_per_second, 1)},
+            {"sim_seconds_per_wall_second",
+             bench::Fmt(threaded.sim_per_wall, 2)}}});
     }
+  }
+
+  if (!args.disks_per_unit.empty()) {
+    RealClusterSweep(args, /*sharded_master=*/false, totals);
   }
 
   // --- Sharded Master: per-group meta leases (DESIGN.md §15) ----------------
   //
-  // Same real-cluster sweep with sharded_master on. Each group's
-  // MasterShard answers heartbeats / meta lookups / directives on its own
-  // shard, so the work the central pump must serialize scales with the
-  // group count, not the disk count — central escalations per disk fall
-  // as the population grows. That ratio is the payoff this sweep exists
-  // to measure (and --expect-flat-control gates). Wall occupancy
+  // --expect-flat-control gates how the centrally-serialized decisions per
+  // disk change from the smallest size to the largest. Wall occupancy
   // ("pump-ms"/"drain-ms") is reported for context, not gated.
   if (args.sharded_master && !args.disks_per_unit.empty()) {
-    bench::PrintHeader(
-        "Sharded Master: per-group meta leases on the real Cluster\n"
-        "(" +
-        bench::Fmt(args.sim_seconds, 0) +
-        " simulated seconds, chaos=" + std::string(args.chaos ? "on" : "off") +
-        ", pump-ms = control pump wall occupancy,\n"
-        "drain-ms = its control-decision share (the lease-offloaded part),\n"
-        "local = MasterShard decisions, central = pump-served meta lookups)");
-    std::vector<std::string> header = {"disks",   "threads",  "events",
-                                       "ns/event", "pump-ms", "drain-ms",
-                                       "local",    "central",  "speedup"};
-    if (args.check_determinism) header.push_back("identical");
-    bench::PrintRow(header, 12);
-
-    // (disks, centrally-serialized decisions per disk) at the first
-    // --unit-threads entry. Deterministic counts, not wall time: this is
-    // the load the leases bound, and it is immune to the cache noise the
-    // growing inner simulation injects into wall measurements.
-    std::vector<std::pair<int, double>> flat;
-    for (const int disks : args.disks_per_unit) {
-      std::string oracle_json;
-      if (args.check_determinism) {
-        oracle_json = RunRealCluster(args, disks, 1, /*use_sharded=*/false,
-                                     /*sharded_master=*/true)
-                          .report.ToJson();
-      }
-      double baseline_wall = 0;
-      for (std::size_t t = 0; t < args.unit_threads.size(); ++t) {
-        const int unit_threads = args.unit_threads[t];
-        const RealClusterResult best = BestOfReal(
-            args, disks, unit_threads, /*use_sharded=*/true,
-            /*sharded_master=*/true);
-        if (t == 0) baseline_wall = best.wall_seconds;
-        const double speedup =
-            best.wall_seconds > 0 ? baseline_wall / best.wall_seconds : 0;
-        if (unit_threads > 1) max_speedup = std::max(max_speedup, speedup);
-        const double pump_per_disk =
-            static_cast<double>(best.report.pump_busy_wall_ns) /
-            std::max(disks, 1);
-        const double drain_per_disk =
-            static_cast<double>(best.report.pump_drain_wall_ns) /
-            std::max(disks, 1);
-        const double central_per_disk =
-            static_cast<double>(best.report.central_meta_lookups +
-                                best.report.lease_grants) /
-            std::max(disks, 1);
-        if (t == 0) flat.emplace_back(disks, central_per_disk);
-        const std::uint64_t local = LocalDecisions(best.report);
-
-        std::vector<std::string> row = {
-            std::to_string(disks),
-            std::to_string(unit_threads),
-            std::to_string(best.report.events_processed),
-            bench::Fmt(best.ns_per_event, 1),
-            bench::Fmt(static_cast<double>(best.report.pump_busy_wall_ns) /
-                           1e6,
-                       2),
-            bench::Fmt(static_cast<double>(best.report.pump_drain_wall_ns) /
-                           1e6,
-                       2),
-            std::to_string(local),
-            std::to_string(best.report.central_meta_lookups),
-            bench::Fmt(speedup, 2) + "x"};
-        bool identical = true;
-        if (args.check_determinism) {
-          identical = best.report.ToJson() == oracle_json;
-          determinism_ok = determinism_ok && identical;
-          row.push_back(identical ? "yes" : "NO");
-        }
-        bench::PrintRow(row, 12);
-
-        entries.push_back(
-            "    {\"name\": \"scaleout/real_sm/disks:" +
-            std::to_string(disks) +
-            "/threads:" + std::to_string(unit_threads) +
-            "\", \"run_type\": \"iteration\", \"iterations\": " +
-            std::to_string(args.repeats) +
-            ", \"real_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"cpu_time\": " + bench::Fmt(best.ns_per_event, 1) +
-            ", \"time_unit\": \"ns\", \"events\": " +
-            std::to_string(best.report.events_processed) +
-            ", \"events_per_second\": " +
-            bench::Fmt(best.events_per_second, 1) +
-            ", \"pump_busy_ns\": " +
-            std::to_string(best.report.pump_busy_wall_ns) +
-            ", \"pump_busy_ns_per_disk\": " + bench::Fmt(pump_per_disk, 1) +
-            ", \"pump_drain_ns\": " +
-            std::to_string(best.report.pump_drain_wall_ns) +
-            ", \"pump_drain_ns_per_disk\": " +
-            bench::Fmt(drain_per_disk, 1) +
-            ", \"central_decisions_per_disk\": " +
-            bench::Fmt(central_per_disk, 4) +
-            ", \"local_decisions\": " + std::to_string(local) +
-            ", \"central_meta_lookups\": " +
-            std::to_string(best.report.central_meta_lookups) +
-            ", \"lease_grants\": " +
-            std::to_string(best.report.lease_grants) +
-            ", \"speedup_vs_baseline\": " + bench::Fmt(speedup, 3) + "}");
-      }
-    }
-
+    const std::vector<std::pair<int, double>> flat =
+        RealClusterSweep(args, /*sharded_master=*/true, totals);
     if (flat.size() >= 2) {
       const double first = std::max(flat.front().second, 1e-9);
       const double ratio = flat.back().second / first;
@@ -708,51 +673,36 @@ int main(int argc, char** argv) {
         oracle_options.use_sharded_engine = false;
         const bool identical =
             core::RunShardedFleet(oracle_options).ToJson() == best.ToJson();
-        determinism_ok = determinism_ok && identical;
+        totals.determinism_ok = totals.determinism_ok && identical;
         row.push_back(identical ? "yes" : "NO");
       }
       bench::PrintRow(row, 12);
 
-      entries.push_back(
-          "    {\"name\": \"scaleout/sharded_fleet/units:" +
-          std::to_string(units) +
-          "\", \"run_type\": \"iteration\", \"iterations\": " +
-          std::to_string(args.repeats) +
-          ", \"real_time\": " + bench::Fmt(ns_per_event, 1) +
-          ", \"cpu_time\": " + bench::Fmt(ns_per_event, 1) +
-          ", \"time_unit\": \"ns\", \"events\": " +
-          std::to_string(best.total_events) +
-          ", \"events_per_second\": " +
-          bench::Fmt(wall > 0 ? events / wall : 0, 1) + "}");
+      totals.records.push_back(
+          {"scaleout/sharded_fleet/units:" + std::to_string(units),
+           static_cast<std::uint64_t>(args.repeats),
+           bench::Fmt(ns_per_event, 1),
+           {{"events", std::to_string(best.total_events)},
+            {"events_per_second",
+             bench::Fmt(wall > 0 ? events / wall : 0, 1)}}});
     }
   }
 
-  std::string json = "{\n  \"context\": {\"threads\": " +
-                     std::to_string(threads) + ", \"sim_seconds\": " +
-                     bench::Fmt(args.sim_seconds, 3) + "},\n"
-                     "  \"benchmarks\": [\n";
-  for (std::size_t i = 0; i < entries.size(); ++i) {
-    json += entries[i];
-    json += i + 1 < entries.size() ? ",\n" : "\n";
-  }
-  json += "  ]\n}\n";
-
-  if (!args.json_path.empty()) {
-    std::FILE* f = std::fopen(args.json_path.c_str(), "w");
-    if (f == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", args.json_path.c_str());
-      return 1;
-    }
-    std::fputs(json.c_str(), f);
-    std::fclose(f);
+  if (!args.json_path.empty() &&
+      !bench::WriteBenchJson(
+          args.json_path,
+          {{"threads", std::to_string(threads)},
+           {"sim_seconds", bench::Fmt(args.sim_seconds, 3)}},
+          totals.records)) {
+    return 1;
   }
 
   if (args.check_determinism) {
     std::printf("\ndeterminism: %s\n",
-                determinism_ok
+                totals.determinism_ok
                     ? "merged reports bit-identical across thread counts"
                     : "MISMATCH between threaded and serial runs");
-    if (!determinism_ok) return 1;
+    if (!totals.determinism_ok) return 1;
   }
   if (args.expect_speedup > 0) {
     if (std::thread::hardware_concurrency() <= 1) {
@@ -760,15 +710,15 @@ int main(int argc, char** argv) {
           "\nspeedup check SKIPPED: single hardware thread "
           "(expected >= %.2fx; see EXPERIMENTS.md for multi-core numbers)\n",
           args.expect_speedup);
-    } else if (max_speedup < args.expect_speedup) {
+    } else if (totals.max_speedup < args.expect_speedup) {
       std::fprintf(stderr,
                    "\nspeedup check FAILED: best multi-thread speedup "
                    "%.2fx < expected %.2fx\n",
-                   max_speedup, args.expect_speedup);
+                   totals.max_speedup, args.expect_speedup);
       return 1;
     } else {
-      std::printf("\nspeedup check OK: %.2fx >= %.2fx\n", max_speedup,
-                  args.expect_speedup);
+      std::printf("\nspeedup check OK: %.2fx >= %.2fx\n",
+                  totals.max_speedup, args.expect_speedup);
     }
   }
   return 0;

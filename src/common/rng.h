@@ -6,9 +6,30 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <string_view>
 
 namespace ustore {
+
+// splitmix64 (Steele, Lea & Flood): one step of the generator from state
+// `x`, i.e. the finalizer applied to x + the golden-ratio increment. The one
+// 64-bit mixer behind Rng seeding, fleet unit seeds and stripe probe starts.
+inline std::uint64_t SplitMix64(std::uint64_t x) {
+  x += 0x9E3779B97F4A7C15ull;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
+  return x ^ (x >> 31);
+}
+
+// 64-bit FNV-1a over the bytes of `s`: the one string hash behind every
+// digest (trace buffers, cluster and fleet reports) and SeedFromId.
+inline std::uint64_t Fnv1a(std::string_view s) {
+  std::uint64_t h = 1469598103934665603ull;
+  for (const char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
 
 // xoshiro256++ seeded via splitmix64. Small, fast, well distributed; not
 // cryptographic (nothing here needs to be).
@@ -48,6 +69,6 @@ class Rng {
 // need per-instance jitter (retry backoff, probe scheduling) derive their
 // stream from their own node id, so distinct instances desynchronize while
 // every run stays reproducible.
-std::uint64_t SeedFromId(const std::string& id);
+inline std::uint64_t SeedFromId(std::string_view id) { return Fnv1a(id); }
 
 }  // namespace ustore

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <exception>
 #include <thread>
 #include <utility>
@@ -12,66 +11,75 @@
 #include "obs/trace.h"
 
 namespace ustore::core {
-namespace {
-
-std::uint64_t SplitMix(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
-void AppendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
-
-}  // namespace
 
 std::uint64_t FleetUnitSeed(std::uint64_t fleet_seed, int unit_id) {
-  return SplitMix(SplitMix(fleet_seed) ^
-                  SplitMix(static_cast<std::uint64_t>(unit_id) + 1));
+  return SplitMix64(SplitMix64(fleet_seed) ^
+                    SplitMix64(static_cast<std::uint64_t>(unit_id) + 1));
 }
 
 namespace {
 
-void RunUnit(const FleetOptions& options, int unit_id,
-             const Fleet::Workload& workload, UnitReport& report) {
+// Per-unit slots in unit order, and the wall-clock of the whole run.
+template <typename Slot>
+struct UnitRun {
+  std::vector<Slot> slots;
+  double wall_seconds = 0;
+};
+
+// The one deploy-unit runner behind RunFleet and RunShardedFleet. Calls
+// body(unit, metrics, tracer, slot) once per unit on `threads` workers
+// (0 = hardware_concurrency, clamped to [1, units]). Work-stealing by
+// atomic index: each worker owns one unit at a time and writes only that
+// unit's slot, so the slots do not depend on which worker ran which unit.
+// Every unit runs under its own ScopedObsBinding, so whatever it
+// instruments — including construction and teardown — lands in its own
+// registries, never in another unit's or the caller's.
+template <typename Slot, typename Body>
+UnitRun<Slot> RunUnits(int units, int threads, const Body& body) {
+  const auto wall_start = std::chrono::steady_clock::now();
+  UnitRun<Slot> run;
+  run.slots.resize(static_cast<std::size_t>(units));
+  if (threads <= 0) {
+    threads = static_cast<int>(std::thread::hardware_concurrency());
+  }
+  threads = std::clamp(threads, 1, std::max(units, 1));
+
+  // Installs the process-wide log observer from this thread before any
+  // worker can log (see InstallLogObserverOnce in obs/metrics.cc).
+  obs::Metrics();
+
+  std::atomic<int> next{0};
+  auto worker = [&] {
+    for (int unit = next.fetch_add(1); unit < units;
+         unit = next.fetch_add(1)) {
+      obs::MetricsRegistry metrics;
+      obs::TraceBuffer tracer;
+      obs::ScopedObsBinding binding(&metrics, &tracer);
+      body(unit, metrics, tracer, run.slots[static_cast<std::size_t>(unit)]);
+    }
+  };
+  if (threads == 1) {
+    worker();
+  } else {
+    std::vector<std::thread> pool;
+    pool.reserve(static_cast<std::size_t>(threads));
+    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
+    for (std::thread& t : pool) t.join();
+  }
+  run.wall_seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - wall_start)
+                         .count();
+  return run;
+}
+
+// RunFleet's per-unit body. `metrics` and `tracer` are the unit's bound
+// registries; they outlive the cluster, whose constructor binds its
+// simulator as their clock.
+void RunUnit(const FleetOptions& options, const FleetWorkload& workload,
+             int unit_id, obs::MetricsRegistry& metrics,
+             obs::TraceBuffer& tracer, UnitReport& report) {
   report.unit_id = unit_id;
   report.seed = FleetUnitSeed(options.seed, unit_id);
-
-  // Unit-local observability: every instrumentation point reached from
-  // this thread lands here until the binding is destroyed. Declared before
-  // the cluster so the cluster (whose constructor binds its simulator as
-  // the registries' clock) is destroyed first.
-  obs::MetricsRegistry metrics;
-  obs::TraceBuffer tracer;
-  obs::ScopedObsBinding binding(&metrics, &tracer);
-
   try {
     ClusterOptions cluster_options = options.cluster;
     cluster_options.unit_id = unit_id;
@@ -95,7 +103,7 @@ void RunUnit(const FleetOptions& options, int unit_id,
 
     // The workload's own random stream: derived from the unit seed but
     // independent of the streams the cluster forked internally.
-    Rng rng(SplitMix(report.seed ^ 0xF1EE7u));
+    Rng rng(SplitMix64(report.seed ^ 0xF1EE7u));
     UnitContext context{unit_id, report.seed, &cluster, &rng};
     workload(context);
 
@@ -123,108 +131,49 @@ void RunUnit(const FleetOptions& options, int unit_id,
 
 }  // namespace
 
-FleetReport Fleet::Run(const Workload& workload) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const int units = options_.units;
+FleetReport RunFleet(const FleetOptions& options,
+                     const FleetWorkload& workload) {
+  UnitRun<UnitReport> run = RunUnits<UnitReport>(
+      options.units, options.threads,
+      [&](int unit, obs::MetricsRegistry& metrics, obs::TraceBuffer& tracer,
+          UnitReport& slot) {
+        RunUnit(options, workload, unit, metrics, tracer, slot);
+      });
   FleetReport report;
-  report.units.resize(static_cast<std::size_t>(units));
-
-  int threads = options_.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads, units);
-
-  // Work-stealing by atomic index: each worker owns one unit at a time and
-  // writes only its own slot, so the merged result is independent of which
-  // worker ran which unit.
-  std::atomic<int> next{0};
-  auto worker = [&] {
-    for (int unit = next.fetch_add(1); unit < units;
-         unit = next.fetch_add(1)) {
-      RunUnit(options_, unit, workload,
-              report.units[static_cast<std::size_t>(unit)]);
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
+  report.units = std::move(run.slots);
+  report.wall_seconds = run.wall_seconds;
   for (const UnitReport& unit : report.units) {
     report.total_events += unit.events_processed;
     report.total_sim_time += unit.sim_end;
   }
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return report;
 }
 
 ShardedFleetReport RunShardedFleet(const ShardedFleetOptions& options) {
-  const auto wall_start = std::chrono::steady_clock::now();
-  const int units = options.units;
+  // The ShardedCluster binds its own per-group and control registries
+  // internally; the runner's per-unit binding catches whatever it
+  // instruments outside them.
+  UnitRun<ShardedClusterReport> run = RunUnits<ShardedClusterReport>(
+      options.units, options.threads,
+      [&](int unit, obs::MetricsRegistry&, obs::TraceBuffer&,
+          ShardedClusterReport& slot) {
+        ShardedClusterOptions unit_options = options.unit;
+        unit_options.cluster.unit_id = unit;
+        unit_options.cluster.seed = FleetUnitSeed(options.seed, unit);
+        slot = RunShardedCluster(unit_options, options.use_sharded_engine);
+      });
   ShardedFleetReport report;
-  report.units.resize(static_cast<std::size_t>(units));
-  report.unit_seeds.resize(static_cast<std::size_t>(units));
-
-  int threads = options.threads;
-  if (threads <= 0) {
-    threads = static_cast<int>(std::thread::hardware_concurrency());
-    if (threads <= 0) threads = 1;
-  }
-  threads = std::min(threads, std::max(units, 1));
-
-  // Same work-stealing shape as Fleet::Run: each outer worker owns one
-  // unit at a time and writes only its own slot. The ShardedCluster binds
-  // its own registries internally; the scratch binding here only catches
-  // stray instrumentation from construction/teardown so it never lands in
-  // another unit's (or the caller's) registry.
-  std::atomic<int> next{0};
-  auto run_unit = [&](int unit_id) {
-    obs::MetricsRegistry scratch_metrics;
-    obs::TraceBuffer scratch_trace;
-    obs::ScopedObsBinding binding(&scratch_metrics, &scratch_trace);
-    ShardedClusterOptions unit_options = options.unit;
-    unit_options.cluster.unit_id = unit_id;
-    unit_options.cluster.seed = FleetUnitSeed(options.seed, unit_id);
-    report.unit_seeds[static_cast<std::size_t>(unit_id)] =
-        unit_options.cluster.seed;
-    report.units[static_cast<std::size_t>(unit_id)] =
-        RunShardedCluster(unit_options, options.use_sharded_engine);
-  };
-  auto worker = [&] {
-    for (int unit = next.fetch_add(1); unit < units;
-         unit = next.fetch_add(1)) {
-      run_unit(unit);
-    }
-  };
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(static_cast<std::size_t>(threads));
-    for (int i = 0; i < threads; ++i) pool.emplace_back(worker);
-    for (std::thread& t : pool) t.join();
-  }
-
+  report.units = std::move(run.slots);
+  report.wall_seconds = run.wall_seconds;
   std::vector<obs::MetricsSnapshot> parts;
   parts.reserve(report.units.size());
-  for (const ShardedClusterReport& unit : report.units) {
-    report.total_events += unit.events_processed;
-    parts.push_back(unit.merged);
+  for (std::size_t unit = 0; unit < report.units.size(); ++unit) {
+    report.unit_seeds.push_back(
+        FleetUnitSeed(options.seed, static_cast<int>(unit)));
+    report.total_events += report.units[unit].events_processed;
+    parts.push_back(report.units[unit].merged);
   }
   report.merged = obs::MergeSnapshots(parts);
-  report.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    wall_start)
-          .count();
   return report;
 }
 
@@ -250,15 +199,7 @@ std::string ShardedFleetReport::ToJson() const {
   return out;
 }
 
-std::uint64_t ShardedFleetReport::Digest() const {
-  // Same FNV-1a shape as ShardedClusterReport::Digest.
-  std::uint64_t h = 1469598103934665603ull;
-  for (char c : ToJson()) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
+std::uint64_t ShardedFleetReport::Digest() const { return Fnv1a(ToJson()); }
 
 std::map<std::string, std::uint64_t> FleetReport::MergedCounters() const {
   std::map<std::string, std::uint64_t> merged;
@@ -284,9 +225,9 @@ std::string FleetReport::ToJson() const {
     out += ", \"allocation_count\": " +
            std::to_string(unit.allocation_count);
     out += ",\n     \"error\": ";
-    AppendJsonString(out, unit.error);
+    out += obs::JsonQuote(unit.error);
     out += ",\n     \"allocations\": ";
-    AppendJsonString(out, unit.allocations);
+    out += obs::JsonQuote(unit.allocations);
     // health_json is already canonical JSON — embedded raw, not re-quoted.
     out += ",\n     \"health\": ";
     out += unit.health_json.empty() ? "null" : unit.health_json;
@@ -295,7 +236,7 @@ std::string FleetReport::ToJson() const {
     for (const auto& [name, value] : unit.metrics.counters) {
       if (!first) out += ", ";
       first = false;
-      AppendJsonString(out, name);
+      out += obs::JsonQuote(name);
       out += ": " + std::to_string(value);
     }
     out += "},\n     \"histogram_counts\": {";
@@ -303,7 +244,7 @@ std::string FleetReport::ToJson() const {
     for (const auto& [name, hist] : unit.metrics.histograms) {
       if (!first) out += ", ";
       first = false;
-      AppendJsonString(out, name);
+      out += obs::JsonQuote(name);
       out += ": " + std::to_string(hist.count);
     }
     out += "}}";
@@ -316,7 +257,7 @@ std::string FleetReport::ToJson() const {
   for (const auto& [name, value] : MergedCounters()) {
     if (!first) out += ", ";
     first = false;
-    AppendJsonString(out, name);
+    out += obs::JsonQuote(name);
     out += ": " + std::to_string(value);
   }
   out += "}\n}\n";

@@ -1,18 +1,21 @@
-// Fleet-scale execution harness (DESIGN.md §8).
+// Fleet-scale execution harness (DESIGN.md §8, §14).
 //
-// A Fleet instantiates N deploy units — each an independent core::Cluster
-// with its own sim::Simulator, seed and workload — and runs them on a
-// thread pool. Deploy units share nothing at runtime (that is the point of
-// the paper's unit-granular design), so the fleet parallelises perfectly:
-// each worker thread owns one unit at a time, with obs::Metrics() and
-// obs::Tracer() redirected to unit-local registries via ScopedObsBinding.
+// A fleet instantiates N deploy units, each with its own simulator, seed
+// and registries, and runs them on a thread pool. Deploy units share
+// nothing at runtime (that is the point of the paper's unit-granular
+// design), so the fleet parallelises perfectly. RunFleet runs each unit as
+// a core::Cluster under a caller workload; RunShardedFleet runs each unit
+// as a core::ShardedCluster. Both are per-unit bodies over one runner: a
+// worker takes the next unit by atomic index and runs it with obs::Metrics()
+// and obs::Tracer() redirected to unit-local registries via
+// ScopedObsBinding, writing only that unit's slot.
 //
 // Determinism contract: unit k's seed is a pure function of (fleet seed,
-// k); every unit runs single-threaded on whichever worker picks it up; and
-// per-unit results are collected into per-unit slots and merged in unit
-// order. The merged FleetReport::ToJson() is therefore bit-identical for
-// any thread count, including 1 — the fleet determinism test and
-// bench_scaleout --check-determinism both assert exactly this.
+// k); every unit runs on whichever worker picks it up without touching
+// another unit's state; and per-unit results are merged in unit order.
+// The merged FleetReport::ToJson() and ShardedFleetReport::ToJson() are
+// therefore bit-identical for any thread count, including 1 — the fleet
+// tests and bench_scaleout --check-determinism both assert exactly this.
 #pragma once
 
 #include <cstdint>
@@ -81,8 +84,8 @@ struct FleetReport {
   std::vector<UnitReport> units;  // indexed by unit id
   std::uint64_t total_events = 0;
   sim::Time total_sim_time = 0;  // summed across units
-  // Wall-clock of the Run() call. Measurement only — deliberately absent
-  // from ToJson(), which must be a pure function of the fleet inputs.
+  // Wall-clock of the RunFleet() call. Measurement only — deliberately
+  // absent from ToJson(), which must be a pure function of the fleet inputs.
   double wall_seconds = 0;
 
   // Counters summed across all units.
@@ -94,37 +97,27 @@ struct FleetReport {
   std::string ToJson() const;
 };
 
-class Fleet {
- public:
-  using Workload = std::function<void(UnitContext&)>;
-
-  explicit Fleet(FleetOptions options) : options_(std::move(options)) {}
-
-  // Runs `workload` once per unit (units may run concurrently, so the
-  // callable must be safe to invoke from multiple threads at once; all
-  // mutable state should live in the UnitContext).
-  FleetReport Run(const Workload& workload);
-
- private:
-  FleetOptions options_;
-};
+// Runs `workload` once per unit (units may run concurrently, so the
+// callable must be safe to invoke from multiple threads at once; all
+// mutable state should live in the UnitContext).
+using FleetWorkload = std::function<void(UnitContext&)>;
+FleetReport RunFleet(const FleetOptions& options,
+                     const FleetWorkload& workload);
 
 // --- Fleet end-to-end on the sharded engine (DESIGN.md §14) -----------------
 //
-// The serial Fleet above runs each deploy unit as a plain core::Cluster
-// workload. ShardedFleet instead builds a core::ShardedCluster per unit —
-// the full PR 8/9 stack: vectorized SoA data plane, control pump, and
-// (optionally) the sharded Master with per-group meta leases — so the
-// whole fleet rides sim::UnitEngine. Two nested levels of parallelism:
-// `threads` outer workers each own one unit at a time, and every unit may
-// itself run its ShardedEngine with `unit.threads` inner workers.
+// RunFleet above runs each deploy unit as a plain core::Cluster workload.
+// RunShardedFleet instead builds a core::ShardedCluster per unit — the
+// vectorized SoA data plane, the control pump and (optionally) the sharded
+// Master with per-group meta leases — so the whole fleet rides
+// sim::UnitEngine. Two nested levels of parallelism: `threads` outer
+// workers each own one unit at a time, and every unit may itself run its
+// ShardedEngine with `unit.threads` inner workers.
 //
-// Same determinism contract as Fleet: unit k's seed is FleetUnitSeed(seed,
-// k); per-unit reports land in per-unit slots and merge in unit order;
 // ShardedClusterReport is already a pure function of (options, seed) at
-// any shard/thread count. ShardedFleetReport::ToJson() is therefore
-// bit-identical for any (outer threads × inner shards × inner threads),
-// sharded engine or single-queue oracle — tests/fleet_test.cc asserts it.
+// any shard/thread count, so ShardedFleetReport::ToJson() is bit-identical
+// for any (outer threads × inner shards × inner threads), sharded engine
+// or single-queue oracle — tests/fleet_test.cc asserts it.
 
 struct ShardedFleetOptions {
   int units = 1;

@@ -17,7 +17,7 @@
 //
 // Everything is driven by simulated time and deterministic arithmetic, so
 // for a fixed seed the report is bit-identical across repeated runs and
-// across core::Fleet thread counts (each fleet unit monitors its own
+// across core::RunFleet thread counts (each fleet unit monitors its own
 // ScopedObsBinding-local registry). DESIGN.md §11 documents the rule
 // grammar and the determinism guarantees.
 #pragma once

@@ -241,7 +241,7 @@ std::atomic<std::uint64_t> next_obs_epoch{1};
 // registry (so unit-local registries see their own log traffic), installed
 // once on the process-wide logger. The magic-static initialization is
 // forced from main-thread singleton construction before any fleet worker
-// starts (Fleet::Run touches Metrics() first).
+// starts (the fleet runner in core/fleet.cc touches Metrics() first).
 void InstallLogObserverOnce() {
   static const bool installed = [] {
     Logger::Instance().set_write_observer([](LogLevel level) {
@@ -305,22 +305,6 @@ void BindSimulator(sim::Simulator* sim) {
 
 namespace {
 
-// Minimal JSON string escaping; metric names and attrs are plain ASCII.
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default: out += c;
-    }
-  }
-  return out;
-}
-
 std::string JsonNumber(double v) {
   // NaN (absent quantile of an empty histogram) is not valid JSON: emit
   // null so parsers see "no value" rather than a bogus number.
@@ -342,7 +326,7 @@ std::string DumpJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, value] : snapshot.counters) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) + "\": " + std::to_string(value);
+    out += "    " + JsonQuote(name) + ": " + std::to_string(value);
   }
   out += first ? "},\n" : "\n  },\n";
 
@@ -351,8 +335,8 @@ std::string DumpJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, gauge] : snapshot.gauges) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) +
-           "\": {\"value\": " + JsonNumber(gauge.value) + ", \"samples\": [";
+    out += "    " + JsonQuote(name) + ": {\"value\": " +
+           JsonNumber(gauge.value) + ", \"samples\": [";
     bool first_sample = true;
     for (const GaugeSample& sample : gauge.samples) {
       if (!first_sample) out += ", ";
@@ -369,7 +353,7 @@ std::string DumpJson(const MetricsSnapshot& snapshot) {
   for (const auto& [name, h] : snapshot.histograms) {
     out += first ? "\n" : ",\n";
     first = false;
-    out += "    \"" + JsonEscape(name) + "\": {";
+    out += "    " + JsonQuote(name) + ": {";
     out += "\"count\": " + std::to_string(h.count);
     out += ", \"sum\": " + JsonNumber(h.sum);
     out += ", \"min\": " + JsonNumber(h.min);
@@ -393,5 +377,28 @@ std::string DumpJson(const MetricsSnapshot& snapshot) {
 }
 
 std::string DumpJson() { return DumpJson(Metrics().Snapshot()); }
+
+std::string JsonQuote(std::string_view s) {
+  std::string out = "\"";
+  out.reserve(s.size() + 2);
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  out += '"';
+  return out;
+}
 
 }  // namespace ustore::obs

@@ -16,7 +16,7 @@
 // stack need no plumbing; experiments call `Reset()` between runs and
 // `BindSimulator()` so snapshots carry simulated — not wall-clock — time.
 //
-// Parallel fleet runs (core::Fleet) redirect the singletons per thread: a
+// Parallel fleet runs (core::RunFleet) redirect the singletons per thread: a
 // ScopedObsBinding installed on a worker thread makes obs::Metrics() and
 // obs::Tracer() resolve to unit-local instances for the binding's lifetime,
 // so N deploy-unit simulations can run concurrently without sharing (or
@@ -30,6 +30,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "sim/time.h"
@@ -336,5 +337,9 @@ void BindSimulator(sim::Simulator* sim);
 // single JSON object — the metrics block benches append to their output.
 std::string DumpJson();
 std::string DumpJson(const MetricsSnapshot& snapshot);
+
+// `s` as a quoted JSON string: quote, backslash, \n and \t get their short
+// escapes, any other control character becomes \u00XX.
+std::string JsonQuote(std::string_view s);
 
 }  // namespace ustore::obs

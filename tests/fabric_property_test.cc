@@ -3,6 +3,7 @@
 // bandwidth-cap safety, parameterized over deploy-unit shapes.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -183,6 +184,20 @@ TEST_P(BandwidthCapTest, AllocationNeverViolatesAnyCap) {
   }
 }
 
+// "disks12_read0_4MiB_rand": every field of the case, used as both the
+// test name and the printed parameter so each case keeps the same ctest
+// name in every build (see CaseName in hw_disk_model_test.cc).
+std::string CaseName(const CapCase& c) {
+  const bool mib = c.request_size % MiB(1) == 0;
+  return "disks" + std::to_string(c.disks) + "_read" +
+         std::to_string(static_cast<int>(c.read_fraction * 100)) + "_" +
+         std::to_string(c.request_size / (mib ? MiB(1) : KiB(1))) +
+         (mib ? "MiB" : "KiB") +
+         (c.pattern == hw::AccessPattern::kSequential ? "_seq" : "_rand");
+}
+
+void PrintTo(const CapCase& c, std::ostream* os) { *os << CaseName(c); }
+
 INSTANTIATE_TEST_SUITE_P(
     Sweep, BandwidthCapTest,
     ::testing::Values(CapCase{1, 1.0, KiB(4), hw::AccessPattern::kSequential},
@@ -195,7 +210,10 @@ INSTANTIATE_TEST_SUITE_P(
                       CapCase{12, 0.0, MiB(4), hw::AccessPattern::kRandom},
                       CapCase{16, 0.5, MiB(1), hw::AccessPattern::kRandom},
                       CapCase{48, 1.0, KiB(64),
-                              hw::AccessPattern::kSequential}));
+                              hw::AccessPattern::kSequential}),
+    [](const ::testing::TestParamInfo<CapCase>& info) {
+      return CaseName(info.param);
+    });
 
 TEST(BandwidthMonotonicityTest, MoreDisksNeverLessTotal) {
   const hw::DiskModel model(hw::DiskParams{}, hw::UsbBridgeInterface());

@@ -1,4 +1,5 @@
-// core::Fleet determinism and per-thread observability scoping.
+// core::RunFleet / RunShardedFleet determinism and per-thread
+// observability scoping.
 //
 // The fleet contract (DESIGN.md §8): the merged report is a pure function
 // of (fleet seed, unit count, workload) — the thread count must not leak
@@ -13,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "core/fleet.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -67,9 +69,9 @@ TEST(FleetTest, MergedReportIsIdenticalAcrossThreadCounts) {
   options.seed = 2026;
 
   options.threads = 1;
-  const FleetReport serial = Fleet(options).Run(SmallWorkload);
+  const FleetReport serial = RunFleet(options, SmallWorkload);
   options.threads = 8;
-  const FleetReport threaded = Fleet(options).Run(SmallWorkload);
+  const FleetReport threaded = RunFleet(options, SmallWorkload);
 
   ASSERT_EQ(serial.units.size(), 3u);
   ASSERT_EQ(threaded.units.size(), 3u);
@@ -99,12 +101,30 @@ TEST(FleetTest, MergedReportIsIdenticalAcrossThreadCounts) {
   EXPECT_GT(merged.at("iscsi.target.reads"), 0u);
 }
 
+// FNV-1a digests of the canonical renderings, recorded before RunFleet and
+// RunShardedFleet were folded onto one runner. They move if any byte of
+// the rendering does: a unit seed, an event count, a reordered key, an
+// escape. The thread-count tests compare runs with each other; these pin
+// the runs to what they have always been.
+constexpr std::uint64_t kFleetJsonDigest = 6510000254107608178ull;
+constexpr std::uint64_t kShardedFleetDigest = 3087835747391279568ull;
+constexpr std::uint64_t kShardedMasterFleetDigest = 9707516656874538648ull;
+
+TEST(FleetTest, MergedReportMatchesPinnedDigest) {
+  FleetOptions options;
+  options.units = 3;
+  options.seed = 2026;
+  options.threads = 2;
+  EXPECT_EQ(Fnv1a(RunFleet(options, SmallWorkload).ToJson()),
+            kFleetJsonDigest);
+}
+
 TEST(FleetTest, UnitsGetIndependentSeedsAndDisjointMetrics) {
   FleetOptions options;
   options.units = 2;
   options.threads = 2;
   options.seed = 7;
-  const FleetReport report = Fleet(options).Run(SmallWorkload);
+  const FleetReport report = RunFleet(options, SmallWorkload);
   ASSERT_EQ(report.units.size(), 2u);
   EXPECT_NE(report.units[0].seed, report.units[1].seed);
   // Both units ran a full cluster + workload in isolated registries.
@@ -168,6 +188,13 @@ TEST(ShardedFleetTest, BitIdenticalAcrossEnginesThreadsAndShards) {
       }
     }
   }
+}
+
+TEST(ShardedFleetTest, ReportsMatchPinnedDigests) {
+  EXPECT_EQ(RunShardedFleet(SmallShardedFleet(false)).Digest(),
+            kShardedFleetDigest);
+  EXPECT_EQ(RunShardedFleet(SmallShardedFleet(true)).Digest(),
+            kShardedMasterFleetDigest);
 }
 
 TEST(ShardedFleetTest, UnitsAreIndependentAndMergedInOrder) {

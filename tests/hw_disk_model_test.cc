@@ -3,6 +3,7 @@
 // connections) and checks model invariants.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <string>
 
 #include "hw/disk_model.h"
@@ -71,7 +72,23 @@ TEST_P(TableIITest, MatchesPaperWithinTolerance) {
       << " measured=" << measured << " paper=" << c.paper_value;
 }
 
-INSTANTIATE_TEST_SUITE_P(AllCells, TableIITest, ::testing::ValuesIn(kTableII));
+// "usb_4KiB_rand_read50": every field that tells the cells apart. It is
+// both the test name and the printed parameter, which ctest folds into its
+// test names; gtest's default printer would dump the struct's bytes,
+// pointer included, so the names would change from build to build.
+std::string CaseName(const TableIICase& c) {
+  return std::string(c.iface) + (c.size == KiB(4) ? "_4KiB" : "_4MiB") +
+         (c.pattern == AccessPattern::kSequential ? "_seq" : "_rand") +
+         "_read" + std::to_string(static_cast<int>(c.read_fraction * 100));
+}
+
+void PrintTo(const TableIICase& c, std::ostream* os) { *os << CaseName(c); }
+
+INSTANTIATE_TEST_SUITE_P(
+    AllCells, TableIITest, ::testing::ValuesIn(kTableII),
+    [](const ::testing::TestParamInfo<TableIICase>& info) {
+      return CaseName(info.param);
+    });
 
 // --- Structural properties of the model --------------------------------------
 

@@ -206,6 +206,15 @@ TEST_F(ObsTest, DumpJsonContainsEveryKind) {
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
 }
 
+TEST_F(ObsTest, JsonQuoteEscapesQuotesBackslashesAndControls) {
+  EXPECT_EQ(JsonQuote("plain.name"), "\"plain.name\"");
+  EXPECT_EQ(JsonQuote("a\"b\\c\nd\te\x01" "f\x1f"),
+            "\"a\\\"b\\\\c\\nd\\te\\u0001f\\u001f\"");
+  // The metrics dump quotes names through it.
+  Metrics().Increment("odd\"name");
+  EXPECT_NE(DumpJson().find("\"odd\\\"name\": 1"), std::string::npos);
+}
+
 TEST_F(ObsTest, EmptyHistogramQuantileIsNaN) {
   Histogram h({10, 20, 50});
   EXPECT_TRUE(std::isnan(h.Quantile(0.5)));
