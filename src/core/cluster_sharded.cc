@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <map>
@@ -12,6 +11,7 @@
 #include <utility>
 
 #include "common/rng.h"
+#include "common/wall_clock.h"
 #include "core/fleet.h"
 #include "core/master_shard.h"
 #include "obs/metrics.h"
@@ -30,13 +30,6 @@ void AppendU64(std::string* out, std::uint64_t v) {
   char buf[24];
   std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
   out->append(buf);
-}
-
-std::uint64_t WallNs() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
 }
 
 MasterShardOptions MasterShardOptionsFor(int group,
@@ -756,7 +749,7 @@ void ShardedCluster::ApplyHostRestarts(sim::Time now) {
 void ShardedCluster::ControlPumpEvent() {
   const sim::Time now = engine_->now(control_shard_);
   ++control_->pumps;
-  const std::uint64_t wall0 = WallNs();
+  const std::uint64_t wall0 = WallNowNs();
   std::uint64_t wall_cluster0 = wall0;
   std::uint64_t wall_cluster1 = wall0;
   {
@@ -798,9 +791,9 @@ void ShardedCluster::ControlPumpEvent() {
     // 2. Advance the real cluster in lock-step with the engine clock:
     //    identical quanta on every engine → one total order for Master
     //    heartbeats, failover, re-expose and index updates.
-    wall_cluster0 = WallNs();
+    wall_cluster0 = WallNowNs();
     cluster_->sim().RunUntil(cluster_base_ + now);
-    wall_cluster1 = WallNs();
+    wall_cluster1 = WallNowNs();
 
     // 3. Master directives from the per-source report slots. Groups whose
     //    lease is out have their directives decided by their MasterShard;
@@ -831,7 +824,7 @@ void ShardedCluster::ControlPumpEvent() {
   // Wall-clock occupancy (measurement only; never digested): the pump is
   // the engine's serial section, so its busy split — control work vs
   // advancing the inner cluster — is the sharded-master before/after.
-  const std::uint64_t wall1 = WallNs();
+  const std::uint64_t wall1 = WallNowNs();
   pump_busy_wall_ns_ += wall1 - wall0;
   pump_cluster_wall_ns_ += wall_cluster1 - wall_cluster0;
   pump_drain_wall_ns_ +=

@@ -1,12 +1,14 @@
 #include "sim/sharded.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <chrono>
 #include <condition_variable>
 #include <limits>
 #include <mutex>
 #include <thread>
+
+#include "common/wall_clock.h"
 
 namespace ustore::sim {
 
@@ -16,13 +18,6 @@ constexpr Time kNoEvent = std::numeric_limits<Time>::max();
 // Round a delivery time up to an odd nanosecond (see the tie-avoidance
 // note in sharded.h): even times gain 1ns, odd times are unchanged.
 constexpr Time OddTime(Time t) { return t | 1; }
-
-std::uint64_t WallNow() {
-  return static_cast<std::uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          std::chrono::steady_clock::now().time_since_epoch())
-          .count());
-}
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -60,109 +55,6 @@ void SingleQueueEngine::Post(int from_shard, int to_shard, Duration delay,
 
 void SingleQueueEngine::Run(std::uint64_t max_events) {
   sim_->Run(max_events);
-}
-
-// ---------------------------------------------------------------------------
-// ShardQueue — one shard's arena-backed indexed heap.
-
-EventId ShardQueue::ScheduleAt(Time t, EventFn fn) {
-  assert(fn);
-  std::uint32_t idx;
-  if (!free_slots_.empty()) {
-    idx = free_slots_.back();
-    free_slots_.pop_back();
-  } else {
-    if ((slot_count_ & (kChunkSize - 1)) == 0) {
-      chunks_.push_back(std::make_unique<Slot[]>(kChunkSize));
-    }
-    idx = slot_count_++;
-  }
-  Slot& s = slot(idx);
-  s.fn = std::move(fn);
-  s.heap_pos = static_cast<std::int32_t>(heap_.size());
-  heap_.push_back(HeapEntry{std::max(t, now_), next_seq_++, idx});
-  SiftUp(heap_.size() - 1);
-  return MakeId(idx, s.gen);
-}
-
-void ShardQueue::Cancel(EventId id) {
-  const std::uint64_t hi = id >> 32;
-  if (hi == 0 || hi > slot_count_) return;
-  Slot& s = slot(static_cast<std::uint32_t>(hi - 1));
-  if (s.gen != static_cast<std::uint32_t>(id) || s.heap_pos < 0) return;
-  const std::uint32_t idx = heap_[s.heap_pos].slot;
-  RemoveFromHeap(static_cast<std::size_t>(s.heap_pos));
-  s.fn.reset();
-  FreeSlot(idx);
-}
-
-std::uint64_t ShardQueue::RunUntilBound(Time bound,
-                                        std::uint64_t max_events) {
-  std::uint64_t fired = 0;
-  while (fired < max_events && !heap_.empty() &&
-         heap_.front().time < bound) {
-    const HeapEntry top = heap_.front();
-    RemoveFromHeap(0);
-    Slot& s = slot(top.slot);
-    assert(top.time >= now_);
-    now_ = top.time;
-    ++events_processed_;
-    ++fired;
-    // Arena chunks never move, so the callback runs in place: events it
-    // schedules may add chunks but can never relocate this slot. The slot
-    // itself stays live (off the free list) until the callback returns.
-    s.fn();
-    s.fn.reset();
-    FreeSlot(top.slot);
-  }
-  return fired;
-}
-
-void ShardQueue::SiftUp(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  while (pos > 0) {
-    const std::size_t parent = (pos - 1) / 2;
-    if (!Earlier(entry, heap_[parent])) break;
-    heap_[pos] = heap_[parent];
-    slot(heap_[pos].slot).heap_pos = static_cast<std::int32_t>(pos);
-    pos = parent;
-  }
-  heap_[pos] = entry;
-  slot(entry.slot).heap_pos = static_cast<std::int32_t>(pos);
-}
-
-void ShardQueue::SiftDown(std::size_t pos) {
-  const HeapEntry entry = heap_[pos];
-  const std::size_t n = heap_.size();
-  while (true) {
-    std::size_t child = 2 * pos + 1;
-    if (child >= n) break;
-    if (child + 1 < n && Earlier(heap_[child + 1], heap_[child])) ++child;
-    if (!Earlier(heap_[child], entry)) break;
-    heap_[pos] = heap_[child];
-    slot(heap_[pos].slot).heap_pos = static_cast<std::int32_t>(pos);
-    pos = child;
-  }
-  heap_[pos] = entry;
-  slot(entry.slot).heap_pos = static_cast<std::int32_t>(pos);
-}
-
-void ShardQueue::RemoveFromHeap(std::size_t pos) {
-  slot(heap_[pos].slot).heap_pos = -1;
-  const HeapEntry last = heap_.back();
-  heap_.pop_back();
-  if (pos == heap_.size()) return;
-  heap_[pos] = last;
-  slot(last.slot).heap_pos = static_cast<std::int32_t>(pos);
-  SiftDown(pos);
-  SiftUp(static_cast<std::size_t>(slot(last.slot).heap_pos));
-}
-
-void ShardQueue::FreeSlot(std::uint32_t s) {
-  Slot& sl = slot(s);
-  sl.heap_pos = -1;
-  if (++sl.gen == 0) ++sl.gen;
-  free_slots_.push_back(s);
 }
 
 // ---------------------------------------------------------------------------
@@ -253,7 +145,7 @@ ShardedEngine::ShardedEngine(Options options)
   assert(lookahead_ >= 1 && "conservative lookahead must be positive");
   queues_.reserve(options.shards);
   for (int i = 0; i < options.shards; ++i) {
-    queues_.push_back(std::make_unique<ShardQueue>());
+    queues_.push_back(std::make_unique<Simulator>());
   }
   outbox_.resize(static_cast<std::size_t>(options.shards) * options.shards);
   busy_ns_.assign(static_cast<std::size_t>(options.shards), 0);
@@ -280,7 +172,7 @@ std::uint64_t ShardedEngine::FlushMailboxes() {
   const int shard_count = shards();
   std::uint64_t flushed = 0;
   for (int dst = 0; dst < shard_count; ++dst) {
-    ShardQueue& queue = *queues_[dst];
+    Simulator& queue = *queues_[dst];
     for (int src = 0; src < shard_count; ++src) {
       std::vector<Mail>& box =
           outbox_[static_cast<std::size_t>(src) * shard_count + dst];
@@ -302,9 +194,9 @@ void ShardedEngine::RunShardTimed(int shard, Time bound,
                                   std::uint64_t max_events) {
   // busy_ns_[shard] is only touched by the worker that claimed `shard`
   // this epoch; the pool barrier orders epochs, so no two writers race.
-  const std::uint64_t t0 = WallNow();
-  queues_[shard]->RunUntilBound(bound, max_events);
-  busy_ns_[shard] += WallNow() - t0;
+  const std::uint64_t t0 = WallNowNs();
+  queues_[shard]->RunBefore(bound, max_events);
+  busy_ns_[shard] += WallNowNs() - t0;
 }
 
 void ShardedEngine::RunEpochShards(Time bound, std::uint64_t max_events) {
@@ -321,12 +213,12 @@ void ShardedEngine::RunEpochShards(Time bound, std::uint64_t max_events) {
 }
 
 void ShardedEngine::Run(std::uint64_t max_events) {
-  const std::uint64_t wall0 = WallNow();
+  const std::uint64_t wall0 = WallNowNs();
   for (;;) {
     const std::uint64_t flushed = FlushMailboxes();
     Time earliest = kNoEvent;
     for (const auto& queue : queues_) {
-      earliest = std::min(earliest, queue->EarliestOr(kNoEvent));
+      earliest = std::min(earliest, queue->next_event_time(kNoEvent));
     }
     if (earliest == kNoEvent) break;  // drained (mailboxes just flushed)
     const std::uint64_t fired = events_processed();
@@ -340,7 +232,7 @@ void ShardedEngine::Run(std::uint64_t max_events) {
     RunEpochShards(earliest + lookahead_, max_events - fired);
     ++epochs_;
   }
-  run_wall_ns_ += WallNow() - wall0;
+  run_wall_ns_ += WallNowNs() - wall0;
 }
 
 std::uint64_t ShardedEngine::events_processed() const {

@@ -2,11 +2,12 @@
 //
 // A deploy unit at 100k disks is too much simulation for one event loop, so
 // the unit is partitioned into *shards* — fabric subtrees that share no
-// mutable state — and each shard runs its own indexed event heap over an
-// arena-allocated slot slab. Shards synchronize with conservative
-// lookahead: every cross-shard interaction in the modelled hardware pays at
-// least the minimum cross-shard latency L (a USB hop plus the RPC floor),
-// so a shard may safely execute events up to
+// mutable state — and each shard runs its own sim::Simulator (the one
+// indexed event heap in the codebase; the engine adds only the epoch loop
+// and the mailboxes). Shards synchronize with conservative lookahead:
+// every cross-shard interaction in the modelled hardware pays at least the
+// minimum cross-shard latency L (a USB hop plus the RPC floor), so a shard
+// may safely execute events up to
 //
 //     bound = min over shards of (earliest pending event) + L
 //
@@ -108,74 +109,7 @@ class SingleQueueEngine final : public UnitEngine {
   Duration lookahead_;
 };
 
-// One shard's event queue: the Simulator's indexed-heap algorithm over an
-// *arena* slot slab — fixed-size chunks that never move, so a firing
-// callback is invoked in place (no per-event EventFn relocation, and slots
-// allocated by the callback cannot invalidate it).
-class ShardQueue {
- public:
-  ShardQueue() = default;
-  ShardQueue(const ShardQueue&) = delete;
-  ShardQueue& operator=(const ShardQueue&) = delete;
-
-  Time now() const { return now_; }
-  std::size_t pending() const { return heap_.size(); }
-  std::uint64_t events_processed() const { return events_processed_; }
-
-  EventId Schedule(Duration delay, EventFn fn) {
-    return ScheduleAt(now_ + std::max<Duration>(delay, 0), std::move(fn));
-  }
-  EventId ScheduleAt(Time t, EventFn fn);
-  void Cancel(EventId id);
-
-  // Earliest pending event time; `empty_value` when the heap is empty.
-  Time EarliestOr(Time empty_value) const {
-    return heap_.empty() ? empty_value : heap_.front().time;
-  }
-
-  // Fires every event with time < bound, in (time, seq) order. Returns the
-  // number fired. Never advances now() past the last fired event.
-  std::uint64_t RunUntilBound(Time bound, std::uint64_t max_events);
-
- private:
-  struct HeapEntry {
-    Time time;
-    std::uint64_t seq;
-    std::uint32_t slot;
-  };
-  struct Slot {
-    std::uint32_t gen = 1;
-    std::int32_t heap_pos = -1;
-    EventFn fn;
-  };
-  static constexpr std::uint32_t kChunkShift = 10;  // 1024 slots per chunk
-  static constexpr std::uint32_t kChunkSize = 1u << kChunkShift;
-
-  Slot& slot(std::uint32_t i) {
-    return chunks_[i >> kChunkShift][i & (kChunkSize - 1)];
-  }
-  static bool Earlier(const HeapEntry& a, const HeapEntry& b) {
-    if (a.time != b.time) return a.time < b.time;
-    return a.seq < b.seq;
-  }
-  static EventId MakeId(std::uint32_t s, std::uint32_t gen) {
-    return (static_cast<EventId>(s) + 1) << 32 | gen;
-  }
-  void SiftUp(std::size_t pos);
-  void SiftDown(std::size_t pos);
-  void RemoveFromHeap(std::size_t pos);
-  void FreeSlot(std::uint32_t s);
-
-  Time now_ = 0;
-  std::uint64_t next_seq_ = 1;
-  std::uint64_t events_processed_ = 0;
-  std::uint32_t slot_count_ = 0;
-  std::vector<std::unique_ptr<Slot[]>> chunks_;  // arena: chunks never move
-  std::vector<std::uint32_t> free_slots_;
-  std::vector<HeapEntry> heap_;
-};
-
-// The parallel engine: K ShardQueues advanced in conservative-lookahead
+// The parallel engine: K Simulators advanced in conservative-lookahead
 // epochs by up to `threads` workers (shards are claimed dynamically, so any
 // thread count yields the same execution).
 class ShardedEngine final : public UnitEngine {
@@ -245,7 +179,7 @@ class ShardedEngine final : public UnitEngine {
 
   Duration lookahead_;
   int threads_;
-  std::vector<std::unique_ptr<ShardQueue>> queues_;
+  std::vector<std::unique_ptr<Simulator>> queues_;
   // outbox_[source * shards + destination]: only `source` appends (during
   // its epoch), only the barrier drains.
   std::vector<std::vector<Mail>> outbox_;

@@ -120,6 +120,15 @@ void Simulator::RunUntil(Time t) {
   now_ = std::max(now_, t);
 }
 
+std::uint64_t Simulator::RunBefore(Time bound, std::uint64_t max_events) {
+  std::uint64_t fired = 0;
+  while (fired < max_events && !heap_.empty() && heap_[0].time < bound) {
+    Step();
+    ++fired;
+  }
+  return fired;
+}
+
 void Simulator::SiftUp(std::size_t pos) {
   const HeapEntry entry = heap_[pos];
   while (pos > 0) {

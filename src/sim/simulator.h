@@ -75,6 +75,17 @@ class Simulator {
   void RunUntil(Time t);
   void RunFor(Duration d) { RunUntil(now_ + d); }
 
+  // Fires events with time strictly below `bound`, in (time, seq) order,
+  // until `max_events` have fired; returns the number fired. Unlike
+  // RunUntil the clock stays at the last fired event, never at `bound` —
+  // one shard's epoch step in sim::ShardedEngine.
+  std::uint64_t RunBefore(Time bound, std::uint64_t max_events);
+
+  // Time of the earliest pending event; `if_empty` when none is queued.
+  Time next_event_time(Time if_empty) const {
+    return heap_.empty() ? if_empty : heap_[0].time;
+  }
+
   // Exact count of live queued events.
   std::size_t pending_events() const { return heap_.size(); }
 

@@ -1,6 +1,7 @@
-// sim::ShardQueue / sim::ShardedEngine unit tests: arena queue mechanics,
-// epoch/lookahead semantics, mailbox flush ordering, and raw-engine
-// determinism across shard and thread counts. The model-level bit-identity
+// sim::ShardedEngine unit tests: epoch/lookahead semantics, mailbox flush
+// ordering, and raw-engine determinism across shard and thread counts.
+// Each shard runs on a sim::Simulator, whose bounded epoch step
+// (RunBefore) is tested in sim_test.cc. The model-level bit-identity
 // contract (reports, metric JSON, trace digests vs the single-queue
 // oracle) lives in sharded_cluster_test.cc and fleet_test.cc.
 #include "sim/sharded.h"
@@ -13,78 +14,6 @@
 
 namespace ustore::sim {
 namespace {
-
-TEST(ShardQueueTest, FiresInTimeThenSeqOrder) {
-  ShardQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(20, [&] { order.push_back(2); });
-  q.ScheduleAt(10, [&] { order.push_back(1); });
-  q.ScheduleAt(20, [&] { order.push_back(3); });  // ties break by schedule order
-  q.ScheduleAt(30, [&] { order.push_back(4); });
-  q.RunUntilBound(25, UINT64_MAX);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(q.now(), 20);
-  EXPECT_EQ(q.pending(), 1u);
-  q.RunUntilBound(31, UINT64_MAX);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
-  EXPECT_EQ(q.events_processed(), 4u);
-}
-
-TEST(ShardQueueTest, BoundIsExclusive) {
-  ShardQueue q;
-  int fired = 0;
-  q.ScheduleAt(100, [&] { ++fired; });
-  q.RunUntilBound(100, UINT64_MAX);  // events strictly before the bound
-  EXPECT_EQ(fired, 0);
-  q.RunUntilBound(101, UINT64_MAX);
-  EXPECT_EQ(fired, 1);
-}
-
-TEST(ShardQueueTest, CancelRemovesPendingEvent) {
-  ShardQueue q;
-  int fired = 0;
-  const EventId id = q.ScheduleAt(10, [&] { ++fired; });
-  q.ScheduleAt(20, [&] { fired += 10; });
-  q.Cancel(id);
-  q.Cancel(id);  // double-cancel is a no-op
-  q.RunUntilBound(100, UINT64_MAX);
-  EXPECT_EQ(fired, 10);
-  // A stale id must not cancel the slot's new tenant.
-  const EventId id2 = q.ScheduleAt(30, [&] { fired += 100; });
-  (void)id2;
-  q.Cancel(id);
-  q.RunUntilBound(100, UINT64_MAX);
-  EXPECT_EQ(fired, 110);
-}
-
-TEST(ShardQueueTest, CallbackMayScheduleIntoSameEpoch) {
-  ShardQueue q;
-  std::vector<int> order;
-  q.ScheduleAt(10, [&] {
-    order.push_back(1);
-    q.ScheduleAt(15, [&] { order.push_back(2); });
-  });
-  q.RunUntilBound(20, UINT64_MAX);
-  EXPECT_EQ(order, (std::vector<int>{1, 2}));
-}
-
-TEST(ShardQueueTest, ArenaSurvivesHeavyChurn) {
-  // Enough live events to span many chunks, with interleaved cancels, so
-  // slot reuse and chunk growth both happen under load.
-  ShardQueue q;
-  std::uint64_t fired = 0;
-  std::vector<EventId> ids;
-  for (int round = 0; round < 10; ++round) {
-    for (int i = 0; i < 3000; ++i) {
-      ids.push_back(q.ScheduleAt(round * 100 + i % 7, [&] { ++fired; }));
-    }
-    for (std::size_t i = 0; i < ids.size(); i += 3) q.Cancel(ids[i]);
-    ids.clear();
-    q.RunUntilBound(round * 100 + 50, UINT64_MAX);
-  }
-  q.RunUntilBound(INT64_MAX, UINT64_MAX);
-  EXPECT_EQ(fired, 10u * 2000u);
-}
 
 TEST(ShardedEngineTest, LocalEventsRunAndClockAdvances) {
   ShardedEngine engine({.shards = 2, .threads = 1, .lookahead = Millis(1)});

@@ -79,6 +79,8 @@ TEST(SimulatorTest, CancelPreventsExecution) {
   bool fired = false;
   EventId id = sim.Schedule(Seconds(1), [&] { fired = true; });
   sim.Cancel(id);
+  sim.Cancel(id);  // double-cancel is a no-op
+  EXPECT_EQ(sim.pending_events(), 0u);
   sim.Run();
   EXPECT_FALSE(fired);
 }
@@ -131,6 +133,111 @@ TEST(SimulatorTest, RunUntilIncludesBoundaryEvents) {
   sim.Schedule(Seconds(3), [&] { fired = true; });
   sim.RunUntil(Seconds(3));
   EXPECT_TRUE(fired);
+}
+
+// RunBefore is the sharded engine's epoch step: every event strictly
+// before the bound, with the clock left at the last one fired.
+TEST(SimulatorTest, RunBeforeFiresInTimeThenSeqOrder) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(20, [&] { order.push_back(2); });
+  sim.ScheduleAt(10, [&] { order.push_back(1); });
+  sim.ScheduleAt(20, [&] { order.push_back(3); });  // ties: schedule order
+  sim.ScheduleAt(30, [&] { order.push_back(4); });
+  EXPECT_EQ(sim.RunBefore(25, UINT64_MAX), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.next_event_time(-1), 30);
+  EXPECT_EQ(sim.RunBefore(31, UINT64_MAX), 1u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.events_processed(), 4u);
+  EXPECT_EQ(sim.next_event_time(-1), -1);
+}
+
+TEST(SimulatorTest, RunBeforeBoundIsExclusive) {
+  Simulator sim;
+  int fired = 0;
+  sim.ScheduleAt(40, [&] { ++fired; });
+  sim.ScheduleAt(100, [&] { ++fired; });
+  EXPECT_EQ(sim.RunBefore(100, UINT64_MAX), 1u);
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), 40);  // the last fired event, not the bound
+  EXPECT_EQ(sim.RunBefore(101, UINT64_MAX), 1u);
+  EXPECT_EQ(fired, 2);
+  EXPECT_EQ(sim.now(), 100);
+  EXPECT_EQ(sim.RunBefore(1000, UINT64_MAX), 0u);  // drained: clock stays
+  EXPECT_EQ(sim.now(), 100);
+}
+
+TEST(SimulatorTest, RunBeforeStopsAtMaxEvents) {
+  Simulator sim;
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    sim.ScheduleAt(10 * (i + 1), [&order, i] { order.push_back(i); });
+  }
+  EXPECT_EQ(sim.RunBefore(1000, 2), 2u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1}));
+  EXPECT_EQ(sim.now(), 20);
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_EQ(sim.RunBefore(1000, 0), 0u);
+  EXPECT_EQ(sim.RunBefore(1000, UINT64_MAX), 3u);
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
+TEST(SimulatorTest, RunBeforeFiresEventsScheduledIntoTheSameWindow) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.ScheduleAt(10, [&] {
+    order.push_back(1);
+    sim.ScheduleAt(15, [&] { order.push_back(2); });
+    sim.ScheduleAt(20, [&] { order.push_back(3); });  // at the bound
+  });
+  EXPECT_EQ(sim.RunBefore(20, UINT64_MAX), 2u);
+  EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  EXPECT_EQ(sim.next_event_time(-1), 20);
+}
+
+TEST(SimulatorTest, RunBeforeCancelRemovesPendingEvent) {
+  Simulator sim;
+  int fired = 0;
+  const EventId id = sim.ScheduleAt(10, [&] { ++fired; });
+  sim.ScheduleAt(20, [&] { fired += 10; });
+  sim.Cancel(id);
+  sim.Cancel(id);  // double-cancel is a no-op
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.RunBefore(100, UINT64_MAX), 1u);
+  EXPECT_EQ(fired, 10);
+  // A stale id must not cancel the slot's new tenant.
+  sim.ScheduleAt(30, [&] { fired += 100; });
+  sim.Cancel(id);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  EXPECT_EQ(sim.RunBefore(100, UINT64_MAX), 1u);
+  EXPECT_EQ(fired, 110);
+}
+
+TEST(SimulatorTest, RunBeforeSurvivesChurnWithInterleavedCancels) {
+  // Thousands of live events per window with every third cancelled, so
+  // slot reuse and slab growth both happen between bounded runs.
+  Simulator sim;
+  std::uint64_t fired = 0;
+  Time last = 0;
+  bool ordered = true;
+  std::vector<EventId> ids;
+  for (int round = 0; round < 10; ++round) {
+    for (int i = 0; i < 3000; ++i) {
+      ids.push_back(sim.ScheduleAt(round * 100 + i % 7, [&] {
+        ordered = ordered && sim.now() >= last;
+        last = sim.now();
+        ++fired;
+      }));
+    }
+    for (std::size_t i = 0; i < ids.size(); i += 3) sim.Cancel(ids[i]);
+    ids.clear();
+    sim.RunBefore(round * 100 + 50, UINT64_MAX);
+    EXPECT_EQ(sim.pending_events(), 0u);
+  }
+  EXPECT_TRUE(ordered);
+  EXPECT_EQ(fired, 10u * 2000u);
 }
 
 TEST(SimulatorTest, CancellingFiredIdsInNeverEmptyQueueStaysExact) {
