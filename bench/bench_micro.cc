@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -264,6 +266,34 @@ void BM_FabricRouteTo(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_FabricRouteTo);
+
+void BM_TopologyFind(benchmark::State& state) {
+  // Name -> node lookups (what Controller belief reconcile does per
+  // reported device) cycling through every node name in a shuffled order.
+  // The arg is leaf hubs per group: 21 gives ~1k nodes, 3125 the 150k
+  // nodes of a 100k-disk unit. The lookup is O(1): the larger fabric pays
+  // only cache misses (tens of ns), where a scan would pay ~150x more
+  // string compares.
+  const int leaf_hubs = static_cast<int>(state.range(0));
+  fabric::BuiltFabric f = fabric::BuildPrototypeFabric(
+      {.groups = 8, .disks_per_leaf = 4, .leaf_hubs_per_group = leaf_hubs});
+  std::vector<std::string> names;
+  names.reserve(static_cast<std::size_t>(f.topology.size()));
+  for (fabric::NodeIndex i = 0; i < f.topology.size(); ++i) {
+    names.push_back(f.topology.node(i).name);
+  }
+  Rng rng(7);
+  for (std::size_t i = names.size() - 1; i > 0; --i) {
+    std::swap(names[i], names[rng.NextBelow(i + 1)]);
+  }
+  std::size_t next = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(f.topology.Find(names[next]));
+    if (++next == names.size()) next = 0;
+  }
+  state.counters["nodes"] = static_cast<double>(f.topology.size());
+}
+BENCHMARK(BM_TopologyFind)->Arg(21)->Arg(3125);
 
 void BM_MasterHeartbeat(benchmark::State& state) {
   // Full-heartbeat handling cost as a function of StorAlloc size. With the

@@ -20,7 +20,32 @@ std::string_view NodeKindName(NodeKind kind) {
 NodeIndex Topology::Add(Node node) {
   nodes_.push_back(std::move(node));
   ++generation_;
-  return static_cast<NodeIndex>(nodes_.size()) - 1;
+  const NodeIndex added = static_cast<NodeIndex>(nodes_.size()) - 1;
+  if (nodes_.size() * 2 > name_slots_.size()) {
+    // Rehash into twice the room; re-adding in node order keeps the first
+    // node of a duplicated name in its slot.
+    name_slots_.assign(std::max<std::size_t>(16, name_slots_.size() * 2),
+                       kInvalidNode);
+    for (NodeIndex i = 0; i <= added; ++i) IndexName(i);
+  } else {
+    IndexName(added);
+  }
+  return added;
+}
+
+std::size_t Topology::NameSlot(std::string_view name) const {
+  const std::size_t mask = name_slots_.size() - 1;
+  std::size_t slot = std::hash<std::string_view>{}(name) & mask;
+  while (name_slots_[slot] != kInvalidNode &&
+         nodes_[name_slots_[slot]].name != name) {
+    slot = (slot + 1) & mask;
+  }
+  return slot;
+}
+
+void Topology::IndexName(NodeIndex i) {
+  NodeIndex& slot = name_slots_[NameSlot(nodes_[i].name)];
+  if (slot == kInvalidNode) slot = i;
 }
 
 NodeIndex Topology::AddHostPort(std::string name) {
@@ -52,8 +77,9 @@ NodeIndex Topology::AddDisk(std::string name, NodeIndex upstream) {
 }
 
 Result<NodeIndex> Topology::Find(const std::string& name) const {
-  for (NodeIndex i = 0; i < size(); ++i) {
-    if (nodes_[i].name == name) return i;
+  if (!name_slots_.empty()) {
+    const NodeIndex i = name_slots_[NameSlot(name)];
+    if (i != kInvalidNode) return i;
   }
   return NotFoundError("no fabric node named " + name);
 }

@@ -11,6 +11,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -58,6 +59,8 @@ class Topology {
   // --- Accessors -------------------------------------------------------------
   int size() const { return static_cast<int>(nodes_.size()); }
   const Node& node(NodeIndex i) const { return nodes_.at(i); }
+  // The node with this name — the first one added if several share it —
+  // or kNotFound. O(1): a hash index over the names, not a scan.
   Result<NodeIndex> Find(const std::string& name) const;
 
   std::vector<NodeIndex> NodesOfKind(NodeKind kind) const;
@@ -131,6 +134,10 @@ class Topology {
 
  private:
   NodeIndex Add(Node node);
+  // The name-index slot holding `name`, or the empty slot it would take.
+  std::size_t NameSlot(std::string_view name) const;
+  // Indexes nodes_[i] unless an earlier node already holds its name.
+  void IndexName(NodeIndex i);
   bool Usable(NodeIndex i) const {
     const Node& n = nodes_[i];
     return !n.failed && n.powered;
@@ -142,6 +149,11 @@ class Topology {
   };
 
   std::vector<Node> nodes_;
+  // Open-addressed name index: a power-of-two table of NodeIndex slots
+  // (kInvalidNode = empty) probed linearly, kept at most half full. It
+  // points back into nodes_, so it costs 8-16 bytes per node and copies
+  // with the Topology (every Cluster holds several copies).
+  std::vector<NodeIndex> name_slots_;
   std::uint64_t generation_ = 1;
   mutable std::vector<PathCacheEntry> path_cache_;  // indexed by device
 };

@@ -1,5 +1,6 @@
 #include "hw/disk.h"
 
+#include <array>
 #include <cassert>
 #include <utility>
 
@@ -13,6 +14,26 @@ namespace {
 bool SameShape(const IoRequest& a, const IoRequest& b) {
   return a.direction == b.direction && a.size == b.size &&
          a.pattern == b.pattern;
+}
+
+// The population gauge of `state`, `disk.state.<DiskStateName>`: how many
+// live disks are in that state. One gauge per state keeps the gauge set
+// the same size at any disk count. The handles are thread-local so each
+// fleet worker resolves them against its own bound registry.
+obs::GaugeHandle& StateGauge(DiskState state) {
+  auto make = [](DiskState s) {
+    return obs::GaugeHandle("disk.state." + std::string(DiskStateName(s)));
+  };
+  thread_local std::array<obs::GaugeHandle, 5> gauges{
+      make(DiskState::kPoweredOff), make(DiskState::kSpinningUp),
+      make(DiskState::kSpunDown), make(DiskState::kIdle),
+      make(DiskState::kActive)};
+  return gauges[static_cast<std::size_t>(state)];
+}
+
+void AddToStateGauge(DiskState state, double delta) {
+  obs::GaugeHandle& gauge = StateGauge(state);
+  gauge.Set(gauge.get().value() + delta);
 }
 
 }  // namespace
@@ -47,15 +68,16 @@ Disk::Disk(sim::Simulator* sim, std::string name, DiskModel model,
       op_rejected_("disk.op.rejected") {
   if (queue_options_.queue_capacity == 0) queue_options_.queue_capacity = 1;
   if (queue_options_.max_batch == 0) queue_options_.max_batch = 1;
-  obs::Metrics().SetGauge("disk." + name_ + ".state",
-                          static_cast<double>(state_));
+  AddToStateGauge(state_, 1);
 }
+
+Disk::~Disk() { AddToStateGauge(state_, -1); }
 
 void Disk::EnterState(DiskState next) {
   if (next == state_) return;
+  AddToStateGauge(state_, -1);
+  AddToStateGauge(next, 1);
   state_ = next;
-  obs::Metrics().SetGauge("disk." + name_ + ".state",
-                          static_cast<double>(next));
 }
 
 void Disk::RingPush(Pending pending) {

@@ -88,6 +88,7 @@ class Disk {
 
   Disk(sim::Simulator* sim, std::string name, DiskModel model,
        bool start_powered = true, DiskQueueOptions queue_options = {});
+  ~Disk();
 
   const std::string& name() const { return name_; }
   const DiskModel& model() const { return model_; }
@@ -191,8 +192,8 @@ class Disk {
   // Routes a finished request to its serial callback or its batch slot
   // (firing the batch callback when the last member lands).
   void Deliver(Pending& pending, IoCompletion completion);
-  // All state transitions funnel through here so the spin-state gauge and
-  // transition counters stay consistent with `state_`.
+  // All state transitions funnel through here so the `disk.state.<state>`
+  // population gauges stay consistent with `state_`.
   void EnterState(DiskState next);
 
   sim::Simulator* sim_;

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,7 +98,7 @@ class UsbHostStack {
   // lsusb -t equivalent over recognized devices.
   UsbTreeReport TreeReport() const;
 
-  int recognized_count() const;
+  int recognized_count() const { return static_cast<int>(recognized_.size()); }
 
  private:
   struct DeviceState {
@@ -112,6 +113,10 @@ class UsbHostStack {
   AttachListener attach_listener_;
   DetachListener detach_listener_;
   std::map<std::string, DeviceState> devices_;  // ordered for determinism
+  // The names in devices_ whose status is kRecognized, in the same order.
+  // The OS sees at most max_devices of a host's devices, so the recognized
+  // queries walk this instead of every attached device.
+  std::set<std::string> recognized_;
   sim::Time enumeration_busy_until_ = 0;
   std::uint64_t generation_counter_ = 0;
 };

@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <string>
 
 #include "fabric/builders.h"
 #include "fabric/topology.h"
@@ -128,6 +130,98 @@ TEST_F(TinyFabricTest, FindByName) {
   ASSERT_TRUE(found.ok());
   EXPECT_EQ(*found, disk_);
   EXPECT_FALSE(t_.Find("nonexistent").ok());
+}
+
+// --- Find: the name index --------------------------------------------------------
+
+// Linear-scan reference for Find: the first node with `name`, or
+// kInvalidNode.
+NodeIndex ScanFor(const Topology& t, const std::string& name) {
+  for (NodeIndex i = 0; i < t.size(); ++i) {
+    if (t.node(i).name == name) return i;
+  }
+  return kInvalidNode;
+}
+
+// One forward scan over every node, keeping the first index per name: the
+// linear-scan answer for all names at once (a per-name scan is quadratic
+// at 150k nodes).
+std::map<std::string, NodeIndex> FirstIndexByName(const Topology& t) {
+  std::map<std::string, NodeIndex> first;
+  for (NodeIndex i = 0; i < t.size(); ++i) first.emplace(t.node(i).name, i);
+  return first;
+}
+
+void ExpectFindMatchesScan(const Topology& t) {
+  const std::map<std::string, NodeIndex> first = FirstIndexByName(t);
+  for (NodeIndex i = 0; i < t.size(); ++i) {
+    const std::string& name = t.node(i).name;
+    auto found = t.Find(name);
+    ASSERT_TRUE(found.ok()) << name;
+    ASSERT_EQ(*found, first.at(name)) << name;
+  }
+  // Spot-check the one-pass reference against the per-name scan.
+  for (NodeIndex i = 0; i < t.size(); i += 997) {
+    EXPECT_EQ(first.at(t.node(i).name), ScanFor(t, t.node(i).name));
+  }
+}
+
+TEST(TopologyFindTest, EveryNodeOfA100kDiskPrototypeMatchesTheScan) {
+  const BuiltFabric f = BuildPrototypeFabric(
+      {.groups = 8, .disks_per_leaf = 4, .leaf_hubs_per_group = 3125});
+  ASSERT_EQ(f.disks.size(), 100000u);
+  ASSERT_GT(f.topology.size(), 150000);
+  ExpectFindMatchesScan(f.topology);
+}
+
+TEST(TopologyFindTest, EveryNodeOfTheLeafSwitchedFabricMatchesTheScan) {
+  ExpectFindMatchesScan(BuildLeafSwitchedFabric({.disks = 64}).topology);
+}
+
+TEST(TopologyFindTest, UnknownNameIsNotFound) {
+  Topology empty;
+  EXPECT_EQ(empty.Find("disk-0").status().code(), StatusCode::kNotFound);
+
+  const BuiltFabric f = BuildPrototypeFabric();
+  for (const std::string name : {"", "disk-", "disk-16", "host-4:p0",
+                                 "Disk-0", "disk-0 "}) {
+    EXPECT_EQ(f.topology.Find(name).status().code(), StatusCode::kNotFound)
+        << '"' << name << '"';
+  }
+}
+
+TEST(TopologyFindTest, DuplicatedNameResolvesToTheFirstNodeAdded) {
+  Topology t;
+  const NodeIndex first = t.AddHostPort("dup");
+  const NodeIndex hub = t.AddHub("hub", first);
+  t.AddDisk("dup", hub);
+  // Enough further nodes to force several index resizes; the first "dup"
+  // must keep its slot through each rehash.
+  for (int i = 0; i < 500; ++i) {
+    t.AddDisk("d" + std::to_string(i), hub);
+    if (i % 100 == 0) t.AddDisk("dup", hub);
+  }
+  EXPECT_EQ(*t.Find("dup"), first);
+  EXPECT_EQ(*t.Find("dup"), ScanFor(t, "dup"));
+}
+
+TEST(TopologyFindTest, LookupsResolveAcrossEveryIndexResize) {
+  Topology t;
+  const NodeIndex root = t.AddHostPort("host-0:p0");
+  std::vector<std::string> names{"host-0:p0"};
+  // 2,000 nodes cross every power-of-two table size from 16 to 4,096
+  // slots; after each addition every name added so far still resolves.
+  for (int i = 1; i < 2000; ++i) {
+    names.push_back("hub-" + std::to_string(i));
+    const NodeIndex added = t.AddHub(names.back(), root);
+    ASSERT_EQ(added, i);
+    for (NodeIndex j = 0; j <= added; ++j) {
+      auto found = t.Find(names[static_cast<std::size_t>(j)]);
+      ASSERT_TRUE(found.ok()) << "after " << i << " adds: " << names[j];
+      ASSERT_EQ(*found, j) << "after " << i << " adds";
+    }
+    ASSERT_FALSE(t.Find("hub-" + std::to_string(i + 1)).ok());
+  }
 }
 
 // --- Generation counter and path cache ---------------------------------------

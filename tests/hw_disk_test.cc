@@ -1,8 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "hw/disk.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "sim/simulator.h"
 
 namespace ustore::hw {
@@ -198,6 +203,131 @@ TEST_F(DiskTest, MixedStreamSlowerThanPureStream) {
     mixed_done = sim.now();
   }
   EXPECT_GT(mixed_done, pure_done);
+}
+
+// --- disk.state.<state> population gauges -----------------------------------------
+
+// A fresh registry per test: the population gauges count every live disk
+// of the bound registry, so the fixture disks of other tests stay out.
+class DiskStateGaugeTest : public ::testing::Test {
+ protected:
+  DiskStateGaugeTest() : binding_(&metrics_, &trace_) {
+    obs::BindSimulator(&sim_);
+  }
+  ~DiskStateGaugeTest() override {
+    disks_.clear();
+    obs::BindSimulator(nullptr);
+  }
+
+  void AddDisk(bool powered) {
+    disks_.push_back(std::make_unique<Disk>(
+        &sim_, "d" + std::to_string(disks_.size()),
+        DiskModel(DiskParams{}, SataInterface()), powered));
+  }
+
+  // Gauge name -> population, for the disk.state.* gauges only.
+  std::map<std::string, double> Populations() {
+    std::map<std::string, double> out;
+    for (const auto& [name, gauge] : metrics_.Snapshot().gauges) {
+      if (name.rfind("disk.state.", 0) == 0) out[name] = gauge.value;
+    }
+    return out;
+  }
+  double Population(DiskState state) {
+    return metrics_.GetGauge("disk.state." + std::string(DiskStateName(state)))
+        .value();
+  }
+  void ExpectSumIsLiveDisks() {
+    double sum = 0;
+    for (const auto& [name, value] : Populations()) sum += value;
+    EXPECT_EQ(sum, static_cast<double>(disks_.size()));
+  }
+
+  // The disk.state.* gauges a step sampled, each with its sample count;
+  // the trails are cleared first so only the step's samples count.
+  template <typename Step>
+  std::map<std::string, std::size_t> SamplesLeftBy(Step step) {
+    metrics_.Snapshot(/*reset=*/true);
+    step();
+    std::map<std::string, std::size_t> out;
+    for (const auto& [name, gauge] : metrics_.Snapshot().gauges) {
+      if (name.rfind("disk.state.", 0) == 0 && !gauge.samples.empty()) {
+        out[name] = gauge.samples.size();
+      }
+    }
+    return out;
+  }
+
+  obs::MetricsRegistry metrics_;
+  obs::TraceBuffer trace_;
+  obs::ScopedObsBinding binding_;
+  sim::Simulator sim_;
+  std::vector<std::unique_ptr<Disk>> disks_;
+};
+
+TEST_F(DiskStateGaugeTest, PopulationsSumToLiveDisksThroughTransitions) {
+  for (int i = 0; i < 3; ++i) AddDisk(/*powered=*/true);
+  AddDisk(/*powered=*/false);
+  EXPECT_EQ(Population(DiskState::kIdle), 3);
+  EXPECT_EQ(Population(DiskState::kPoweredOff), 1);
+  ExpectSumIsLiveDisks();
+
+  disks_[0]->SpinDown();
+  EXPECT_EQ(Population(DiskState::kSpunDown), 1);
+  EXPECT_EQ(Population(DiskState::kIdle), 2);
+  ExpectSumIsLiveDisks();
+
+  disks_[0]->SpinUp();
+  EXPECT_EQ(Population(DiskState::kSpinningUp), 1);
+  EXPECT_EQ(Population(DiskState::kSpunDown), 0);
+  ExpectSumIsLiveDisks();
+  sim_.Run();
+  EXPECT_EQ(Population(DiskState::kSpinningUp), 0);
+  EXPECT_EQ(Population(DiskState::kIdle), 3);
+  ExpectSumIsLiveDisks();
+
+  disks_[1]->Fail();  // failure is a flag, not a spin state
+  EXPECT_EQ(Population(DiskState::kIdle), 3);
+  ExpectSumIsLiveDisks();
+
+  disks_[2]->PowerOff();
+  EXPECT_EQ(Population(DiskState::kPoweredOff), 2);
+  EXPECT_EQ(Population(DiskState::kIdle), 2);
+  ExpectSumIsLiveDisks();
+
+  disks_.pop_back();  // a destroyed disk leaves its state's population
+  EXPECT_EQ(Population(DiskState::kPoweredOff), 1);
+  ExpectSumIsLiveDisks();
+}
+
+TEST_F(DiskStateGaugeTest, EachTransitionSamplesEachGaugeItChangesOnce) {
+  AddDisk(/*powered=*/true);
+  AddDisk(/*powered=*/true);
+  Disk& disk = *disks_[0];
+  using Samples = std::map<std::string, std::size_t>;
+
+  EXPECT_EQ(SamplesLeftBy([&] { disk.SpinDown(); }),
+            (Samples{{"disk.state.idle", 1}, {"disk.state.spun-down", 1}}));
+  EXPECT_EQ(SamplesLeftBy([&] { disk.SpinUp(); }),
+            (Samples{{"disk.state.spinning-up", 1},
+                     {"disk.state.spun-down", 1}}));
+  EXPECT_EQ(SamplesLeftBy([&] { sim_.Run(); }),
+            (Samples{{"disk.state.idle", 1}, {"disk.state.spinning-up", 1}}));
+  EXPECT_EQ(SamplesLeftBy([&] { disk.Fail(); }), Samples{});
+  EXPECT_EQ(SamplesLeftBy([&] { disk.PowerOff(); }),
+            (Samples{{"disk.state.idle", 1}, {"disk.state.powered-off", 1}}));
+  EXPECT_EQ(SamplesLeftBy([&] { disk.PowerOff(); }), Samples{});  // no-op
+  EXPECT_EQ(SamplesLeftBy([&] { AddDisk(/*powered=*/false); }),
+            (Samples{{"disk.state.powered-off", 1}}));
+
+  // The sample carries the new population at the transition's sim time.
+  const sim::Time before = sim_.now();
+  SamplesLeftBy([&] { disks_[1]->SpinDown(); });
+  const obs::MetricsSnapshot snapshot = metrics_.Snapshot();
+  const auto& spun_down = snapshot.gauges.at("disk.state.spun-down").samples;
+  ASSERT_EQ(spun_down.size(), 1u);
+  EXPECT_EQ(spun_down[0].at, before);
+  EXPECT_EQ(spun_down[0].value, 1);
 }
 
 }  // namespace

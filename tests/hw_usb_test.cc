@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <string>
 #include <vector>
@@ -110,6 +111,52 @@ TEST_F(UsbHostStackTest, ReattachAfterDetachWorks) {
   stack_.OnDeviceAttached(DiskEntry("disk-0", "hub", 2));
   sim_.Run();
   EXPECT_TRUE(stack_.IsRecognized("disk-0"));
+}
+
+TEST_F(UsbHostStackTest, ReattachOfARecognizedDeviceEnumeratesAfresh) {
+  stack_.OnDeviceAttached(DiskEntry("disk-0", "hub-a", 2));
+  sim_.Run();
+  ASSERT_TRUE(stack_.IsRecognized("disk-0"));
+  // Re-routed to another parent: invisible until it enumerates again, then
+  // reported at its new position.
+  stack_.OnDeviceAttached(DiskEntry("disk-0", "hub-b", 3));
+  EXPECT_FALSE(stack_.IsRecognized("disk-0"));
+  EXPECT_EQ(stack_.recognized_count(), 0);
+  EXPECT_TRUE(stack_.TreeReport().empty());
+  sim_.Run();
+  ASSERT_EQ(stack_.TreeReport().size(), 1u);
+  EXPECT_EQ(stack_.TreeReport()[0].parent, "hub-b");
+  EXPECT_EQ(stack_.TreeReport()[0].tier, 3);
+}
+
+TEST_F(UsbHostStackTest, RecognizedQueriesAgreeUnderTheDeviceLimit) {
+  // 20 attaches, 5 over the limit; then detaching recognized devices frees
+  // slots that re-attached devices take. Every recognized query must list
+  // the same name-ordered set.
+  for (int i = 0; i < 20; ++i) {
+    stack_.OnDeviceAttached(DiskEntry("disk-" + std::to_string(i), "hub", 2));
+  }
+  sim_.Run();
+  for (int i = 0; i < 4; ++i) {
+    stack_.OnDeviceDetached("disk-" + std::to_string(i));
+  }
+  for (int i = 15; i < 20; ++i) {
+    stack_.OnDeviceAttached(DiskEntry("disk-" + std::to_string(i), "hub", 2));
+  }
+  sim_.Run();
+  const std::vector<std::string> names = stack_.RecognizedDevices();
+  EXPECT_EQ(static_cast<int>(names.size()), stack_.params().max_devices);
+  EXPECT_EQ(stack_.recognized_count(), stack_.params().max_devices);
+  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
+  const UsbTreeReport report = stack_.TreeReport();
+  ASSERT_EQ(report.size(), names.size());
+  for (std::size_t i = 0; i < names.size(); ++i) {
+    EXPECT_EQ(report[i].device, names[i]);
+    EXPECT_TRUE(stack_.IsRecognized(names[i]));
+  }
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_FALSE(stack_.IsRecognized("disk-" + std::to_string(i)));
+  }
 }
 
 TEST_F(UsbHostStackTest, ResetClearsEverything) {

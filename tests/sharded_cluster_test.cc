@@ -398,6 +398,41 @@ TEST(ShardedClusterTest, FaultFreeRunKeepsEveryDiskOnTheSoaPath) {
   }
 }
 
+// Metric cardinality guard: the report's gauge set must not grow with the
+// disk count (per-disk gauges once put 200k entries into a 100k-disk
+// report). The hw::Disk population gauges still count every disk.
+TEST(ShardedClusterTest, ReportGaugeCountIsIndependentOfDiskCount) {
+  auto gauges_at = [](int leaf_hubs_per_group, int* disks) {
+    core::ShardedClusterOptions options = FuzzOptions(13, false);
+    options.cluster.fabric.leaf_hubs_per_group = leaf_hubs_per_group;
+    options.duration = sim::Millis(300);
+    options.shards = 2;
+    const core::ShardedClusterReport report =
+        core::RunShardedCluster(options, true);
+    std::size_t count =
+        report.control_metrics.gauges.size() + report.merged.gauges.size();
+    double population = 0;
+    *disks = 0;
+    for (const auto& grp : report.per_group) {
+      count += grp.metrics.gauges.size();
+      *disks += grp.disks;
+    }
+    for (const auto& [name, gauge] : report.control_metrics.gauges) {
+      if (name.rfind("disk.state.", 0) == 0) population += gauge.value;
+    }
+    EXPECT_EQ(population, *disks);
+    return count;
+  };
+  int disks_1k = 0;
+  int disks_4k = 0;
+  const std::size_t at_1k = gauges_at(64, &disks_1k);   // 4 groups x 64 x 4
+  const std::size_t at_4k = gauges_at(256, &disks_4k);
+  EXPECT_EQ(disks_1k, 1024);
+  EXPECT_EQ(disks_4k, 4096);
+  EXPECT_GT(at_1k, 0u);
+  EXPECT_EQ(at_1k, at_4k);
+}
+
 TEST(ShardedClusterTest, ClusterExposesShardPlanForItsFabric) {
   core::ClusterOptions options;
   core::Cluster cluster(options);
